@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod columns;
 pub mod config;
 pub mod experiment;
 pub mod explain;

@@ -100,6 +100,7 @@ use ignem_dfs::client::{plan_read, ReadSource};
 use ignem_dfs::namenode::NameNode;
 use ignem_netsim::rpc::{Epoch, Incarnation, RpcChannel, RpcPeer};
 use ignem_netsim::{Fabric, NodeId, TransferId};
+use ignem_simcore::bitcol::BitCol;
 use ignem_simcore::event::Engine;
 use ignem_simcore::idmap::IdMap;
 use ignem_simcore::metrics::{MetricsRegistry, MetricsState};
@@ -115,7 +116,6 @@ use ignem_simcore::trace::TraceSink;
 use ignem_storage::disk::{Completion, Disk, IoKind, RequestId};
 use ignem_storage::memstore::{MemStore, Residency};
 
-use crate::columns::BitCol;
 use crate::config::{ClusterConfig, FsMode};
 use crate::metrics::{BlockRead, JobResult, PlanResult, ReadKind, ResidencyLedger, RunMetrics};
 
@@ -336,7 +336,7 @@ struct PlanState {
     stage1_input: u64,
 }
 
-/// Struct-of-arrays per-node hot state (see [`crate::columns`]): the
+/// Struct-of-arrays per-node hot state (see [`ignem_simcore::bitcol`]): the
 /// fields every heartbeat, sweep and cancellation pass scans, kept as
 /// dense columns — booleans packed one bit per node, the pause column
 /// sentinel-encoded — so a 12k-node world's liveness scan stays in a few
@@ -1677,15 +1677,10 @@ impl World {
             return;
         }
         // Pick a random alive source other than the reducer's node.
-        let sources: Vec<NodeId> = (0..self.cfg.nodes as u32)
-            .map(NodeId)
-            .filter(|&nd| nd != node && self.cols.alive.get(nd.0 as usize))
-            .collect();
-        if sources.is_empty() {
+        let Some(src) = self.cols.alive.choose(&mut self.rng, &[node]) else {
             self.schedule_reduce_compute(task, job, share);
             return;
-        }
-        let src = *self.rng.choose(&sources);
+        };
         let id = TransferId(self.next_xfer);
         self.next_xfer += 1;
         self.net_owner.insert(id, NetOwner::Shuffle { task });
@@ -2305,16 +2300,17 @@ impl World {
                 continue; // lost block: nothing to copy from
             }
             let holders: Vec<NodeId> = locations;
-            let candidates: Vec<NodeId> = (0..self.cfg.nodes as u32)
-                .map(NodeId)
-                .filter(|n| self.cols.alive.get(n.0 as usize) && !holders.contains(n))
-                .collect();
-            if candidates.is_empty() {
+            if self.cols.alive.count_ones_excluding(&holders) == 0 {
                 self.defer_rereplication(block);
                 continue;
             }
             let source = *self.rng.choose(&holders);
-            let target = *self.rng.choose(&candidates);
+            let target = self
+                .cols
+                .alive
+                .choose(&mut self.rng, &holders)
+                // lint: allow(P02, reason = "the count_ones_excluding check above found an alive non-holder")
+                .expect("an alive non-holder exists");
             let Ok(info) = self.namenode.block_info(block) else {
                 continue; // block deleted while queued for re-replication
             };

@@ -9,6 +9,7 @@ use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::time::SimDuration;
 use ignem_simcore::units::{MB, MIB};
+use ignem_workloads::stream::{replay_files, JobArrival, ReplayConfig, ReplayStream};
 
 const RECORDER_CAP: usize = 1 << 20;
 
@@ -113,6 +114,54 @@ fn double_run_crash_seed_is_deterministic() {
         fingerprint(&result.metrics_a),
         fingerprint(&result.metrics_b)
     );
+}
+
+/// Adapter from a streamed arrival to a planned job; a plain `fn` keeps
+/// the mapped stream `Clone`, as `World::with_arrivals` requires.
+fn arrival_plan(a: JobArrival) -> PlannedJob {
+    PlannedJob::single(a.name, a.submit, a.spec)
+}
+
+/// Jobs in the reduced streamed world: about three simulated hours of the
+/// Google trace's arrival rate.
+const STREAMED_JOBS: u64 = 2_500;
+
+/// A reduced datacenter world: 256 nodes (a four-word busy-NIC index),
+/// the rotating cluster-wide heartbeat sweep, and trace arrivals admitted
+/// lazily from a `ReplayStream`. Every trace job has one reducer that
+/// shuffles from a random alive node over the fabric.
+fn streamed_world() -> World {
+    let rcfg = ReplayConfig {
+        jobs: Some(STREAMED_JOBS),
+        ..ReplayConfig::default()
+    };
+    let files = replay_files(&rcfg, STREAMED_JOBS);
+    let stream = ReplayStream::new(rcfg, 42).map(arrival_plan as fn(JobArrival) -> PlannedJob);
+    let cfg = ClusterConfig {
+        nodes: 256,
+        heartbeat_sweep: true,
+        seed: 42,
+        ..ClusterConfig::default()
+    };
+    World::new(cfg, FsMode::Ignem, &files, vec![], vec![]).with_arrivals(Box::new(stream))
+}
+
+#[test]
+fn double_run_streamed_256_node_world_is_deterministic() {
+    let result = double_run(streamed_world, RECORDER_CAP);
+    assert!(result.is_deterministic(), "{}", result.describe());
+    let m = &result.metrics_a;
+    assert_eq!(m.jobs.len() as u64, STREAMED_JOBS, "every job completes");
+    assert_eq!(
+        m.reduce_task_secs.len() as u64,
+        STREAMED_JOBS,
+        "every job runs its shuffling reducer"
+    );
+    assert!(
+        m.makespan.as_secs_f64() > 2.0 * 3600.0,
+        "the stream spans hours of simulated time"
+    );
+    assert_eq!(fingerprint(m), fingerprint(&result.metrics_b));
 }
 
 #[test]

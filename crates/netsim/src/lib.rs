@@ -16,6 +16,7 @@
 
 pub mod rpc;
 
+use ignem_simcore::bitcol::BitCol;
 use ignem_simcore::flow::{FlowId, FlowResource};
 use ignem_simcore::idmap::{DenseId, IdMap};
 use ignem_simcore::time::{SimDuration, SimTime};
@@ -125,6 +126,10 @@ impl Default for NetConfig {
 pub struct Fabric {
     config: NetConfig,
     downlinks: Vec<FlowResource>,
+    /// Busy-NIC index: bit `i` is set iff `downlinks[i]` has an active
+    /// flow. Timers and advances visit only these NICs, so their cost
+    /// follows the transfers in flight, not the cluster size.
+    busy: BitCol,
     inflight: IdMap<TransferId, Inflight>,
 }
 
@@ -145,6 +150,7 @@ impl Fabric {
             downlinks: (0..nodes)
                 .map(|_| FlowResource::new(config.nic_bandwidth, 0.0))
                 .collect(),
+            busy: BitCol::new(nodes, false),
             inflight: IdMap::new(),
         }
     }
@@ -198,63 +204,82 @@ impl Fabric {
         );
         // Latency as a "seek" on the receiver NIC; it does not consume
         // bandwidth share (degradation is 0 so seeking flows are harmless).
-        let done =
-            self.downlinks[to.0 as usize].add(now, FlowId(id.0), bytes as f64, self.config.latency);
-        self.collect(to, done)
+        let nic = &mut self.downlinks[to.0 as usize];
+        let flows = nic.add(now, FlowId(id.0), bytes as f64, self.config.latency);
+        self.busy.set(to.0 as usize, true);
+        let mut out = Vec::new();
+        collect(&mut self.inflight, nic, flows, &mut out);
+        out
     }
 
     /// Cancels an in-flight transfer. Unknown ids are ignored.
     pub fn cancel(&mut self, now: SimTime, id: TransferId) -> Vec<TransferDone> {
-        let Some(info) = self.inflight.get(&id).copied() else {
+        let Some(info) = self.inflight.remove(&id) else {
             return Vec::new();
         };
-        let done = self.downlinks[info.to.0 as usize].cancel(now, FlowId(id.0));
-        self.inflight.remove(&id);
-        self.collect(info.to, done)
+        let nic = &mut self.downlinks[info.to.0 as usize];
+        let flows = nic.cancel(now, FlowId(id.0));
+        self.busy.set(info.to.0 as usize, nic.active() > 0);
+        let mut out = Vec::new();
+        collect(&mut self.inflight, nic, flows, &mut out);
+        out
     }
 
     /// Earliest instant any transfer state changes, or `None` if idle.
     pub fn next_event(&self) -> Option<SimTime> {
-        self.downlinks
-            .iter()
-            .filter_map(|nic| nic.next_event())
+        self.busy
+            .iter_set()
+            .filter_map(|i| self.downlinks[i].next_event())
             .min()
     }
 
-    /// Advances every NIC to `now` (NICs whose internal clock is already
-    /// past `now` — e.g. because a transfer started on them later — are
-    /// left untouched), returning finished transfers.
+    /// Advances every busy NIC to `now` (NICs whose internal clock is
+    /// already past `now` are left untouched), returning finished
+    /// transfers ordered by completion time, then id.
+    ///
+    /// Idle NICs are skipped: advancing an empty [`FlowResource`] only
+    /// moves its clock, and that clock is not read again before the next
+    /// [`start`](Self::start) advances it to the start instant anyway.
+    /// Every busy NIC, by contrast, is advanced on every call, so each
+    /// flow's progress is split at exactly the instants a full scan would
+    /// split it.
     pub fn advance(&mut self, now: SimTime) -> Vec<TransferDone> {
         let mut out = Vec::new();
-        for i in 0..self.downlinks.len() {
-            let t = now.max(self.downlinks[i].clock());
-            let done = self.downlinks[i].advance(t);
-            out.extend(self.collect(NodeId(i as u32), done));
-        }
+        let (downlinks, inflight) = (&mut self.downlinks, &mut self.inflight);
+        self.busy.retain_set(|i| {
+            let nic = &mut downlinks[i];
+            let flows = nic.advance(now.max(nic.clock()));
+            collect(inflight, nic, flows, &mut out);
+            nic.active() > 0
+        });
         out.sort_by_key(|t| (t.finished, t.id));
         out
     }
+}
 
-    fn collect(&mut self, _node: NodeId, flows: Vec<FlowId>) -> Vec<TransferDone> {
-        flows
-            .into_iter()
-            .map(|fid| {
-                let id = TransferId(fid.0);
-                let info = self
-                    .inflight
-                    .remove(&id)
-                    .expect("completion for unknown transfer");
-                TransferDone {
-                    id,
-                    from: info.from,
-                    to: info.to,
-                    bytes: info.bytes,
-                    started: info.started,
-                    finished: self.downlinks[info.to.0 as usize].clock(),
-                }
-            })
-            .collect()
-    }
+/// Turns `nic`'s finished flows into [`TransferDone`]s appended to `out`,
+/// retiring them from `inflight`.
+fn collect(
+    inflight: &mut IdMap<TransferId, Inflight>,
+    nic: &FlowResource,
+    flows: Vec<FlowId>,
+    out: &mut Vec<TransferDone>,
+) {
+    out.extend(flows.into_iter().map(|fid| {
+        let id = TransferId(fid.0);
+        let info = inflight
+            .remove(&id)
+            // lint: allow(P02, reason = "every flow on a NIC was registered in `inflight` by `start`")
+            .expect("completion for unknown transfer");
+        TransferDone {
+            id,
+            from: info.from,
+            to: info.to,
+            bytes: info.bytes,
+            started: info.started,
+            finished: nic.clock(),
+        }
+    }));
 }
 
 #[cfg(test)]

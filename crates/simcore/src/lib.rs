@@ -9,6 +9,8 @@
 //! * [`event`] — the [`event::Engine`]: time-ordered queue with cancellation.
 //! * [`rng`] — version-stable seeded RNG ([`rng::SimRng`]).
 //! * [`dist`] — exponential / log-normal / Pareto samplers for workloads.
+//! * [`bitcol`] — packed bitsets ([`bitcol::BitCol`]) with popcount select:
+//!   the cluster's liveness columns and the fabric's busy-NIC index.
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
 //! * [`stats`] — online stats, CDFs, histograms, time-weighted series.
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bitcol;
 pub mod dist;
 pub mod event;
 pub mod flow;
@@ -57,6 +60,7 @@ pub mod units;
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
+    pub use crate::bitcol::BitCol;
     pub use crate::dist::{Constant, Distribution, Exponential, LogNormal, Pareto, Uniform};
     pub use crate::event::{Engine, EventId};
     pub use crate::flow::{FlowId, FlowResource};
