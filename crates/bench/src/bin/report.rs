@@ -22,6 +22,11 @@
 //!          repo's pinned reference-leak seed)
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "command-line entry point: reads argv and sets the exit status"
+)]
+
 use ignem_bench::{Report, Section};
 use ignem_cluster::chaos::{state_at, ChaosConfig};
 

@@ -53,7 +53,7 @@
 //! ```
 
 // BTreeMap keeps the invariant-check sweeps (which iterate these maps) in
-// key order, satisfying lint rule D02 without per-site sorting.
+// key order, satisfying rule D02 (DESIGN.md §8) without per-site sorting.
 use std::collections::BTreeMap;
 
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
@@ -208,6 +208,10 @@ impl ChaosReport {
     /// # Panics
     ///
     /// Panics with a description of the violated invariant.
+    #[expect(
+        clippy::panic,
+        reason = "an assertion helper: panicking on a violation is its purpose"
+    )]
     pub fn assert_invariants(&self) {
         if let Err(e) = self.check_invariants() {
             panic!("{e}");
@@ -346,6 +350,10 @@ impl ChaosReport {
     /// # Panics
     ///
     /// Panics with a description of the first inconsistency.
+    #[expect(
+        clippy::panic,
+        reason = "an assertion helper: panicking on a violation is its purpose"
+    )]
     pub fn assert_event_stream_consistent(&self) {
         if let Err(e) = self.check_event_stream_consistent() {
             panic!("{e}");
@@ -785,7 +793,10 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// report, when the run survived to produce one — a mid-run panic from
 /// per-event validation yields `None`). Also returns the number of events
 /// the probe simulated, for [`MinimizeStats`].
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the boxed violation keeps the common `Ok` case small"
+)]
 fn probe(
     cfg: &ChaosConfig,
     faults: &[(SimTime, Fault)],
@@ -1077,7 +1088,6 @@ fn candidate_faults(
 /// the stale ones for later injections — their histories now reflect the
 /// new schedule — and any later snapshot the continuation never reached
 /// (mid-run panic) is invalidated.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn fork_probe(
     full_faults: &[(SimTime, Fault)],
     dropped: &[bool],

@@ -48,11 +48,16 @@ impl Comparison {
             World::new(cfg.clone(), mode, files, plan_for(migrate), vec![]).run()
         })
         .into_iter();
-        Comparison {
-            hdfs: runs.next().expect("hdfs run"),
-            ignem: runs.next().expect("ignem run"),
-            ram: runs.next().expect("ram run"),
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "parallel_map returns one result per mode, in mode order"
+        )]
+        let (hdfs, ignem, ram) = (
+            runs.next().expect("hdfs run"),
+            runs.next().expect("ignem run"),
+            runs.next().expect("ram run"),
+        );
+        Comparison { hdfs, ignem, ram }
     }
 }
 

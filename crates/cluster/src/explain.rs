@@ -27,8 +27,8 @@
 //! schedulable), heartbeat delay (schedulable → first task assignment),
 //! and the migration service time spent on the job's own blocks.
 
-// BTreeMap throughout: the report folds iterate these maps, and lint rule
-// D02 demands a deterministic visit order so two replays render identical
+// BTreeMap throughout: the report folds iterate these maps, and rule D02
+// (DESIGN.md §8) demands a deterministic visit order so two replays render identical
 // reports.
 use std::collections::BTreeMap;
 
@@ -383,8 +383,8 @@ impl TelemetryReport {
                 }
                 // The remaining events carry no pass-1 evidence. Each one
                 // is named (no catch-all) so that adding an `Event`
-                // variant forces a decision here; the X02 cross-check
-                // audits the explainer against the enum.
+                // variant forces a decision here: the compiler rejects
+                // this match until the new variant is handled.
                 // `BlockRead` is consumed by pass 2 below.
                 Event::BlockRead { .. }
                 | Event::JobCompleted { .. }

@@ -90,6 +90,10 @@ impl LedgerEntry {
     ///
     /// Panics if more bytes were debited than ever credited — the ledger
     /// went negative, which no legal event sequence can produce.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented: a negative ledger means an illegal event sequence"
+    )]
     pub fn balance(&self) -> u64 {
         self.credited
             .checked_sub(self.debited)

@@ -2,8 +2,9 @@
 //! event stream per step, and bisect any divergence to the first
 //! differing event.
 //!
-//! The static rules in `ignem-lint` ban the *patterns* that break
-//! same-seed replay; this module checks the *property* itself at runtime.
+//! The clippy configuration (`clippy.toml`, `[workspace.lints]`) bans the
+//! *patterns* that break same-seed replay; this module checks the
+//! *property* itself at runtime.
 //! Two worlds built by the same closure are run through
 //! [`World::run_recorded`], and each event stream is folded into a
 //! per-step FNV-1a hash chain over the events' canonical JSON

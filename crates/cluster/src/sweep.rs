@@ -214,6 +214,10 @@ fn seed_count_fits_pointer_width(count: u64, usize_max: u128) -> bool {
 /// results in input order. The order-restoring merge makes the output
 /// independent of worker scheduling, so parallel bench runs stay
 /// bit-reproducible. `jobs <= 1` (or a single item) maps inline.
+#[expect(
+    clippy::expect_used,
+    reason = "each index is claimed exactly once and every slot is filled once the scope joins"
+)]
 pub fn parallel_map<I, T>(items: Vec<I>, jobs: usize, f: impl Fn(I) -> T + Sync) -> Vec<T>
 where
     I: Send,

@@ -79,7 +79,7 @@
 //! mechanisms are inert in a fault-free run: no events, no randomness, no
 //! behaviour change.
 
-// Deterministic-iteration policy (lint rule D02): every map or set this
+// Deterministic-iteration policy (rule D02, DESIGN.md §8): every map or set this
 // module iterates is an ordered container — a dense `IdMap`/`IdSet`
 // (ascending-key iteration by construction) or a BTree container — so two
 // runs of the same seed visit entries, and therefore draw randomness and
@@ -109,10 +109,8 @@ use ignem_simcore::rng::SimRng;
 use ignem_simcore::stats::TimeWeighted;
 use ignem_simcore::telemetry::{
     Event as TelemetryEvent, EventRecord, EventSink, FlightRecorder, ReadClass, Telemetry,
-    TraceAdapter,
 };
 use ignem_simcore::time::{SimDuration, SimTime};
-use ignem_simcore::trace::TraceSink;
 use ignem_storage::disk::{Completion, Disk, IoKind, RequestId};
 use ignem_storage::memstore::{MemStore, Residency};
 
@@ -570,6 +568,10 @@ impl World {
             namenode.register_node(NodeId(n as u32));
         }
         for (path, bytes) in files {
+            #[expect(
+                clippy::panic,
+                reason = "documented: construction panics on duplicate file paths"
+            )]
             namenode
                 .create_file(path, *bytes, &mut rng)
                 .unwrap_or_else(|e| panic!("loading {path}: {e}"));
@@ -583,6 +585,10 @@ impl World {
             for (n, mem) in mems.iter_mut().enumerate() {
                 for info in namenode.blocks_on(NodeId(n as u32)) {
                     if info.bytes > 0 {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "documented: construction panics when pinned inputs exceed cluster RAM"
+                        )]
                         mem.insert(SimTime::ZERO, info.id, info.bytes, Residency::Pinned)
                             .expect("inputs exceed cluster RAM");
                     }
@@ -706,16 +712,6 @@ impl World {
         self
     }
 
-    /// Installs a legacy string-trace sink; every major state transition
-    /// (job lifecycle, migrations, evictions, faults) is recorded with its
-    /// simulated time. Implemented as a [`TraceAdapter`] over the typed
-    /// event stream, so it sees exactly what
-    /// [`with_telemetry`](Self::with_telemetry) sinks see. Tracing is free
-    /// when no sink is installed.
-    pub fn with_trace(self, sink: Box<dyn TraceSink>) -> Self {
-        self.with_telemetry(Box::new(TraceAdapter::new(sink)))
-    }
-
     /// Installs a typed event sink (e.g. a
     /// [`FlightRecorder`](ignem_simcore::telemetry::FlightRecorder)) and
     /// propagates the shared emission handle into the master, every slave
@@ -783,6 +779,10 @@ impl World {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "validation mode stops the run at the first violated invariant"
+    )]
     fn check_invariants(&mut self) {
         for n in 0..self.cfg.nodes {
             // Memoized per node: the checks below are pure functions of
@@ -997,7 +997,10 @@ impl World {
                 seq, to.0
             );
         }
-        // lint: allow(D02, reason = "collected into a Vec and sorted before rendering")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into a Vec and sorted before rendering"
+        )]
         let mut jobs: Vec<u64> = self.live_jobs.iter().map(|j| j.0).collect();
         jobs.sort_unstable();
         let _ = writeln!(
@@ -1191,6 +1194,10 @@ impl World {
     /// Admits the pending streamed arrival as a plan and submits it. The
     /// submission runs inline (not via a separate [`Event::Submit`]) so
     /// the RNG draw order matches a preloaded world exactly.
+    #[expect(
+        clippy::expect_used,
+        reason = "an Arrival event is scheduled only while `next_arrival` holds a plan"
+    )]
     fn on_arrival(&mut self) {
         let plan = self
             .next_arrival
@@ -1242,7 +1249,15 @@ impl World {
         if let JobInput::DfsFiles(files) = &spec.input {
             let mut assigns: Vec<(u32, u64)> = Vec::new();
             for f in files {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "job inputs name files loaded at world construction, and the world never deletes files"
+                )]
                 for info in self.namenode.file_blocks(f).expect("input file missing") {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "job inputs name files loaded at world construction, and the world never deletes files"
+                    )]
                     let locs = self.namenode.locations(info.id).expect("block vanished");
                     if locs.is_empty() || info.bytes == 0 {
                         continue;
@@ -1297,6 +1312,10 @@ impl World {
         self.engine.schedule_in(delay, Event::Queued(job));
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "job inputs name files loaded at world construction, and the world never deletes files"
+    )]
     fn input_bytes_of(&self, spec: &JobSpec) -> u64 {
         match &spec.input {
             JobInput::DfsFiles(files) => files
@@ -1319,6 +1338,10 @@ impl World {
             JobInput::DfsFiles(files) => {
                 let mut v = Vec::new();
                 for f in files {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "job inputs name files loaded at world construction, and the world never deletes files"
+                    )]
                     for info in self.namenode.file_blocks(f).expect("input file missing") {
                         if info.bytes > 0 {
                             v.push(MapInput {
@@ -1690,7 +1713,6 @@ impl World {
     }
 
     fn schedule_reduce_compute(&mut self, task: TaskId, job: JobId, share: u64) {
-        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
         let spec = &self.job_spec[&job];
         let secs = share as f64 / spec.reduce_cpu_rate * self.jitter();
         self.engine.schedule_in(
@@ -1768,7 +1790,11 @@ impl World {
     }
 
     fn finish_job_record(&mut self, job: JobId, submitted: SimTime, now: SimTime, spec: &JobSpec) {
-        let (plan, stage) = self.job_to_plan[&job];
+        #[expect(
+            clippy::expect_used,
+            reason = "plans are registered at submission and dropped only below, at finish"
+        )]
+        let (plan, stage) = *self.job_to_plan.get(&job).expect("finished job has a plan");
         self.live_jobs.remove(&job);
         // Hypothetical scheme evicts at completion.
         if let Some(assigns) = self.hyp_assign.remove(&job) {
@@ -1803,6 +1829,10 @@ impl World {
             self.engine.schedule_now(Event::Submit(plan));
         } else if !state.finished {
             state.finished = true;
+            #[expect(
+                clippy::expect_used,
+                reason = "a plan records its submission before any of its stages can finish"
+            )]
             let started = state.submitted_at.expect("plan finished before submit");
             self.metrics.plans.push(PlanResult {
                 name: self.plans[plan].name.clone(),
@@ -2305,11 +2335,14 @@ impl World {
                 continue;
             }
             let source = *self.rng.choose(&holders);
+            #[expect(
+                clippy::expect_used,
+                reason = "the count_ones_excluding check above found an alive non-holder"
+            )]
             let target = self
                 .cols
                 .alive
                 .choose(&mut self.rng, &holders)
-                // lint: allow(P02, reason = "the count_ones_excluding check above found an alive non-holder")
                 .expect("an alive non-holder exists");
             let Ok(info) = self.namenode.block_info(block) else {
                 continue; // block deleted while queued for re-replication
@@ -2374,7 +2407,6 @@ impl World {
                 NetOwner::Shuffle { task } => {
                     let rec = *self.tracker.task(task);
                     if let ignem_compute::tracker::TaskState::Assigned(_) = rec.state {
-                        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
                         let spec = &self.job_spec[&rec.job];
                         let share = spec.shuffle_bytes / spec.reducers.max(1) as u64;
                         self.schedule_reduce_compute(task, rec.job, share);
@@ -2399,7 +2431,6 @@ impl World {
             return; // requeued meanwhile
         };
         if let Some(b) = block {
-            // lint: allow(Q01, reason = "end-of-run metrics accumulator, bounded by the workload's block reads")
             self.metrics.block_reads.push(BlockRead {
                 bytes,
                 secs: now.duration_since(started).as_secs_f64(),
@@ -2452,7 +2483,6 @@ impl World {
                 }
             }
         }
-        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
         let rate = self.job_spec[&rec.job].map_cpu_rate;
         let secs = bytes as f64 / rate * self.jitter();
         self.engine.schedule_in(
@@ -2719,7 +2749,6 @@ impl World {
             .map(|(j, _)| j)
             .collect();
         for job in jobs {
-            // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
             let spec = self.job_spec[&job].clone();
             let (Some(mode), JobInput::DfsFiles(files)) = (spec.submit.migrate, &spec.input) else {
                 continue;
@@ -2873,7 +2902,9 @@ impl World {
             .flat_map(|(dn, owners)| owners.keys().map(move |req| (dn as u32, req)))
             .collect();
         for key in disk_keys {
-            let owner = self.disk_owner[key.0 as usize][&key.1];
+            let Some(&owner) = self.disk_owner[key.0 as usize].get(&key.1) else {
+                continue;
+            };
             if let DiskOwner::Rereplicate { block, target } = owner {
                 // A re-replication touched by the failure restarts later.
                 if key.0 == node.0 || target == node.0 {

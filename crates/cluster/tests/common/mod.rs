@@ -2,7 +2,6 @@
 //! integration tests. Every builder here is deterministic: two calls
 //! produce worlds that replay bit-identical event streams, which is
 //! what lets both test files pin hashes over the recorded telemetry.
-#![allow(dead_code)]
 
 use ignem_cluster::chaos::{generate_faults, workload, ChaosConfig};
 use ignem_cluster::prelude::*;

@@ -32,6 +32,10 @@ const DEFAULT_WORLD_GOLDEN: (usize, u64) = (111, 0x464c_1a7d_d766_ced1);
 const CHAOS_304_GOLDEN: (usize, u64) = (320, 0x2249_a012_16cb_e555);
 const CHAOS_CRASH_14_GOLDEN: (usize, u64) = (342, 0xa7dd_79d6_004d_5787);
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing value fails the test"
+)]
 fn tail(events: &[EventRecord]) -> (usize, u64) {
     let chain = hash_chain(events);
     (events.len(), *chain.last().expect("non-empty stream"))
@@ -41,6 +45,10 @@ fn tail(events: &[EventRecord]) -> (usize, u64) {
 /// a snapshot every [`STRIDE`] emitted events, and for every snapshot
 /// restores + runs to the end, asserting the stitched stream and the
 /// fingerprint are bit-identical to the baseline (and to `golden`).
+#[expect(
+    clippy::unwrap_used,
+    reason = "test helper: a missing value fails the test"
+)]
 fn assert_snapshot_equivalent(build: fn() -> World, golden: (usize, u64)) {
     let (base_metrics, base_events, dropped) = build().run_recorded(RECORDER_CAP);
     assert_eq!(dropped, 0, "recorder must hold the whole stream");

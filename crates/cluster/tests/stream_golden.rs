@@ -20,6 +20,10 @@ use ignem_cluster::prelude::*;
 use ignem_cluster::sanitizer::hash_chain;
 
 /// Records a world and reduces its stream to `(events, final chain hash)`.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing value fails the test"
+)]
 fn stream_tail(build: fn() -> World) -> (usize, u64) {
     let (_metrics, events, dropped) = build().run_recorded(RECORDER_CAP);
     assert_eq!(dropped, 0, "recorder must hold the whole stream");

@@ -11,6 +11,10 @@
 //! collision-free submission times), the same shape two of the three
 //! golden streams run.
 
+#[expect(
+    dead_code,
+    reason = "only `RECORDER_CAP` is shared with the golden-stream tests"
+)]
 mod common;
 
 use common::RECORDER_CAP;
@@ -44,6 +48,10 @@ fn streaming_world() -> World {
         .with_arrivals(Box::new(plans.into_iter()))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing value fails the test"
+)]
 fn tail(events: &[EventRecord]) -> (usize, u64) {
     let chain = hash_chain(events);
     (events.len(), *chain.last().expect("non-empty stream"))

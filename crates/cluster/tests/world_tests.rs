@@ -357,45 +357,43 @@ fn speculation_rescues_stragglers() {
 }
 
 #[test]
-fn trace_records_lifecycle() {
-    use ignem_simcore::trace::SharedVecSink;
+fn recorded_stream_covers_lifecycle() {
+    use ignem_simcore::telemetry::Event;
     let files = files_of(256 * MB, 2, "/in");
     let plan = vec![PlannedJob::single(
         "traced",
         SimDuration::from_secs(1),
         job(&files, true),
     )];
-    let (sink, entries) = SharedVecSink::new();
-    let world = World::new(
+    let (m, events, dropped) = World::new(
         ClusterConfig::default(),
         FsMode::Ignem,
         &files,
         plan,
         vec![],
     )
-    .with_trace(Box::new(sink));
-    let m = world.run();
+    .run_recorded(1 << 16);
     assert_eq!(m.plans.len(), 1);
-    let entries = entries.borrow();
-    assert!(!entries.is_empty());
+    assert_eq!(dropped, 0);
+    assert!(!events.is_empty());
     // Times are nondecreasing and all expected categories appear.
-    for w in entries.windows(2) {
+    for w in events.windows(2) {
         assert!(w[0].at <= w[1].at);
     }
     for cat in ["job", "task", "migration"] {
         assert!(
-            entries.iter().any(|e| e.category == cat),
+            events.iter().any(|r| r.event.category() == cat),
             "missing category {cat}"
         );
     }
     // Submission precedes completion.
-    let submit = entries
+    let submit = events
         .iter()
-        .position(|e| e.category == "job" && e.message.contains("submitted"))
+        .position(|r| matches!(r.event, Event::JobSubmitted { .. }))
         .expect("submit record");
-    let finish = entries
+    let finish = events
         .iter()
-        .position(|e| e.category == "job" && e.message.contains("finished"))
+        .position(|r| matches!(r.event, Event::JobCompleted { .. }))
         .expect("finish record");
     assert!(submit < finish);
 }

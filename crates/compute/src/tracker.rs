@@ -283,7 +283,6 @@ impl JobTracker {
     ///
     /// Panics on an unknown task.
     pub fn task(&self, task: TaskId) -> &TaskRecord {
-        // lint: allow(P02, reason = "documented accessor contract: callers pass live task ids")
         &self.tasks[&task]
     }
 
@@ -317,6 +316,10 @@ impl JobTracker {
     /// # Panics
     ///
     /// Panics if the task is not pending.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers assign live task ids"
+    )]
     pub fn assign(&mut self, now: SimTime, task: TaskId, node: NodeId) {
         let rec = self.tasks.get_mut(&task).expect("unknown task");
         assert_eq!(rec.state, TaskState::Pending, "assigning non-pending task");
@@ -336,6 +339,11 @@ impl JobTracker {
     /// # Panics
     ///
     /// Panics if the task is not assigned.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "documented contract: callers complete live, running task ids; speculation twins are registered together"
+    )]
     pub fn complete(&mut self, now: SimTime, task: TaskId) -> CompletionOutcome {
         let rec = self.tasks.get_mut(&task).expect("unknown task");
         let TaskState::Assigned(_) = rec.state else {
@@ -540,7 +548,7 @@ pub fn choose_map_task(
             continue;
         }
         let running = tracker.running_tasks(job);
-        if best.is_none() || running < best.expect("checked").0 {
+        if best.is_none_or(|(b, _)| running < b) {
             best = Some((running, job));
         }
     }
@@ -582,7 +590,7 @@ pub fn choose_reduce_task(tracker: &JobTracker) -> Option<TaskId> {
     for &t in pending {
         let job = tracker.task(t).job;
         let running = tracker.running_tasks(job);
-        if best.is_none() || running < best.expect("checked").0 {
+        if best.is_none_or(|(b, _)| running < b) {
             best = Some((running, t));
         }
     }

@@ -220,7 +220,10 @@ impl NameNode {
             .by_path
             .remove(path)
             .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-        let meta = self.files.remove(&id).expect("file table out of sync");
+        let meta = self
+            .files
+            .remove(&id)
+            .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
         for b in meta.blocks {
             self.blocks.remove(&b);
         }
@@ -252,7 +255,6 @@ impl NameNode {
             .iter()
             .map(|b| BlockInfo {
                 id: *b,
-                // lint: allow(P02, reason = "file metadata and the block map are updated together")
                 bytes: self.blocks[b].bytes,
             })
             .collect())
@@ -329,7 +331,6 @@ impl NameNode {
             .get_mut(&block)
             .ok_or(DfsError::BlockNotFound(block))?;
         if !meta.replicas.contains(&node) {
-            // lint: allow(Q01, reason = "deduplicated by the contains guard; bounded by cluster size")
             meta.replicas.push(node);
         }
         Ok(())

@@ -362,7 +362,6 @@ impl IgnemMaster {
             for &target in &candidates[..k] {
                 batches
                     .entry_or_insert_with(target, || SlaveBatch::new(target, epoch))
-                    // lint: allow(Q01, reason = "batch is consumed when the RPC is sent; lives one scheduling round")
                     .migrates
                     .push(MigrateCommand {
                         job: req.job,
@@ -454,7 +453,7 @@ impl IgnemMaster {
             let Some(pending) = self.outbox.remove(&seq) else {
                 // Unreachable: the get_mut above proved the entry exists and
                 // nothing ran in between. Treat as settled rather than
-                // panicking on a fault path (lint rule P01).
+                // panicking on a fault path (rule P01).
                 debug_assert!(false, "outbox entry vanished between probe and remove");
                 return RetryDecision::Settled;
             };

@@ -548,7 +548,7 @@ impl IgnemSlave {
     /// A completion for a block with no in-flight migration (a stray or
     /// duplicate callback) is ignored rather than panicking: read
     /// completions ride the fault-prone IO path, so the slave must absorb
-    /// surprises there (lint rule P01).
+    /// surprises there (rule P01, DESIGN.md §8).
     pub fn on_read_done(
         &mut self,
         now: SimTime,
@@ -1043,7 +1043,7 @@ impl IgnemSlave {
                 let Some(q) = self.queue.remove(&block) else {
                     // `block` came from snapshotting `self.queue` just above
                     // and nothing removes entries in between; skip rather
-                    // than panic if that ever changes (lint rule P01).
+                    // than panic if that ever changes (rule P01).
                     debug_assert!(false, "queued block vanished during start sweep");
                     continue;
                 };

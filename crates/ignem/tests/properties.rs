@@ -217,6 +217,10 @@ fn cmd(job: u64, block: u64, input_blocks: u64) -> MigrateCommand {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing value fails the test"
+)]
 fn start_one_migration(slave: &mut IgnemSlave, mem: &mut MemStore<BlockId>) -> BlockId {
     let actions = slave.enqueue(SimTime::ZERO, vec![cmd(1, 1, 4), cmd(1, 2, 4)], mem);
     let started = actions

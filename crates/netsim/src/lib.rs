@@ -267,9 +267,12 @@ fn collect(
 ) {
     out.extend(flows.into_iter().map(|fid| {
         let id = TransferId(fid.0);
+        #[expect(
+            clippy::expect_used,
+            reason = "every flow on a NIC was registered in `inflight` by `start`"
+        )]
         let info = inflight
             .remove(&id)
-            // lint: allow(P02, reason = "every flow on a NIC was registered in `inflight` by `start`")
             .expect("completion for unknown transfer");
         TransferDone {
             id,

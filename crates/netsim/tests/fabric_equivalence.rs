@@ -83,6 +83,10 @@ impl ScanFabric {
             .into_iter()
             .map(|fid| {
                 let id = TransferId(fid.0);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "test helper: a missing value fails the test"
+                )]
                 let (from, to, bytes, started) = self.inflight.remove(&id).expect("known transfer");
                 TransferDone {
                     id,

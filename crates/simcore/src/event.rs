@@ -226,6 +226,10 @@ impl Wheel {
         // Sparse timers dominate: most promotions move a lone entry, which
         // needs no min-scan, no partition and no sort.
         if self.levels[idx].len() == 1 {
+            #[expect(
+                clippy::expect_used,
+                reason = "the slot holds exactly one entry, checked just above"
+            )]
             let entry = self.levels[idx].pop().expect("len checked above");
             self.occupied[level] &= !(1 << slot);
             debug_assert!(entry.at.as_micros() > self.elapsed);
@@ -237,6 +241,10 @@ impl Wheel {
         let mut batch = std::mem::take(&mut self.cascade);
         std::mem::swap(&mut batch, &mut self.levels[idx]);
         self.occupied[level] &= !(1 << slot);
+        #[expect(
+            clippy::expect_used,
+            reason = "the occupied bitmap marks only nonempty slots"
+        )]
         let min_at = batch
             .iter()
             .map(|e| e.at.as_micros())
@@ -356,9 +364,11 @@ impl<E> Engine<E> {
                 s
             }
             None => {
-                // lint: allow(P02, reason = "capacity guard: 2^32 pending events means a runaway schedule loop")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "capacity guard: 2^32 pending events means a runaway schedule loop"
+                )]
                 let s = u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
-                // lint: allow(Q01, reason = "slot slab reuses freed slots via the free list; growth tracks peak pending events")
                 self.slots.push(Slot {
                     gen: 0,
                     pending: true,
@@ -441,6 +451,10 @@ impl<E> Engine<E> {
                     self.free_slot(entry.slot);
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a pending slot holds its payload until it fires"
+                )]
                 let payload = self.slots[entry.slot as usize]
                     .payload
                     .take()
@@ -521,6 +535,10 @@ impl<E> Engine<E> {
     /// point (e.g. a fault injection) worth snapshotting before.
     pub fn peek(&mut self) -> Option<(SimTime, &E)> {
         let (at, slot) = self.peek_key()?;
+        #[expect(
+            clippy::expect_used,
+            reason = "a pending slot holds its payload until it fires"
+        )]
         let payload = self.slots[slot as usize]
             .payload
             .as_ref()
@@ -563,7 +581,9 @@ impl<E> Engine<E> {
             if t > deadline {
                 break;
             }
-            let ev = self.pop().expect("peeked event vanished");
+            let Some(ev) = self.pop() else {
+                break;
+            };
             handler(self, ev);
             handled += 1;
         }

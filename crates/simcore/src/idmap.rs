@@ -11,8 +11,8 @@
 //! * iteration walks the slots in ascending key order — the same order a
 //!   `BTreeMap` would produce, with none of a hash map's
 //!   seed-dependence, so replacing a `BTreeMap` with an `IdMap` can
-//!   never reorder events (lint rule D02 treats them as deterministic
-//!   for exactly this reason);
+//!   never reorder events (the D02 bans in `clippy.toml` name hash
+//!   containers only, for exactly this reason);
 //! * scans touch contiguous memory, which is what the per-event
 //!   invariant validation and the flow-resource update loop actually
 //!   spend their time on.
@@ -53,8 +53,11 @@ impl DenseId for usize {
 }
 
 impl DenseId for u64 {
+    #[expect(
+        clippy::expect_used,
+        reason = "cannot fail on 64-bit targets; a guard against 32-bit truncation"
+    )]
     fn index(self) -> usize {
-        // lint: allow(P02, reason = "cannot fail on 64-bit targets; a guard against 32-bit truncation")
         usize::try_from(self).expect("id exceeds the address space")
     }
     fn from_index(index: usize) -> Self {
@@ -66,6 +69,10 @@ impl DenseId for u32 {
     fn index(self) -> usize {
         self as usize
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "u32 ids only ever index slots they created; a wider index is a caller bug"
+    )]
     fn from_index(index: usize) -> Self {
         u32::try_from(index).expect("index exceeds u32 id space")
     }
@@ -215,13 +222,7 @@ impl<K: DenseId, V> IdMap<K, V> {
     where
         V: Default,
     {
-        if !self.contains_key(&key) {
-            self.insert(key, V::default());
-        }
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted two lines up")
-        let p = self.pos(key).expect("just inserted");
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted three lines up")
-        self.slots[p].as_mut().expect("just inserted")
+        self.entry_or_insert_with(key, V::default)
     }
 
     /// Iterates `(key, &value)` in ascending key order.
@@ -259,13 +260,15 @@ impl<K: DenseId, V> IdMap<K, V> {
 
     /// Returns the value at `key`, inserting `make()` first if the key is
     /// vacant (the `entry(k).or_insert_with(..)` idiom).
+    #[expect(
+        clippy::expect_used,
+        reason = "post-insert invariant: the key was inserted just above"
+    )]
     pub fn entry_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
         if !self.contains_key(&key) {
             self.insert(key, make());
         }
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted two lines up")
         let p = self.pos(key).expect("just inserted");
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted three lines up")
         self.slots[p].as_mut().expect("just inserted")
     }
 
@@ -353,16 +356,6 @@ impl<K: DenseId, V> Iterator for IntoIter<K, V> {
 impl<K: DenseId + fmt::Debug, V: fmt::Debug> fmt::Debug for IdMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-impl<K: DenseId, V> std::ops::Index<&K> for IdMap<K, V> {
-    type Output = V;
-
-    /// Panics if `key` is absent, mirroring `BTreeMap`'s `Index`.
-    fn index(&self, key: &K) -> &V {
-        // lint: allow(P02, reason = "documented Index contract, mirroring BTreeMap")
-        self.get(key).expect("no entry found for key")
     }
 }
 

@@ -14,9 +14,8 @@
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
 //! * [`stats`] — online stats, CDFs, histograms, time-weighted series.
-//! * [`trace`] — legacy string tracing ([`trace::TraceSink`]).
-//! * [`telemetry`] — typed event stream ([`telemetry::Event`]), flight
-//!   recorder with JSONL export, adapter onto the legacy trace sinks.
+//! * [`telemetry`] — typed event stream ([`telemetry::Event`]) and a
+//!   flight recorder with JSONL export.
 //! * [`span`] — causal span trees reconstructed from recorded streams,
 //!   with a per-category critical-path extractor.
 //! * [`metrics`] — sim-time windowed counters/gauges/histograms
@@ -47,6 +46,9 @@ pub mod dist;
 pub mod event;
 pub mod flow;
 pub mod idmap;
+#[cfg(clippy)]
+#[expect(dead_code, reason = "fixtures are linted, never called")]
+mod lint_fixtures;
 pub mod metrics;
 pub mod perfetto;
 pub mod profile;
@@ -55,7 +57,6 @@ pub mod span;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 /// Convenient glob-import of the most-used types.

@@ -68,7 +68,6 @@ impl Hist {
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        // lint: allow(P02, reason = "fixed-size array, not a map: bucket_of yields 0..=64 < HIST_BUCKETS")
         self.buckets[bucket_of(v)] += 1;
     }
 
@@ -495,6 +494,10 @@ impl MetricsRegistry {
     /// from a disabled handle onto an enabled one (or vice versa) is a
     /// contract violation and panics: the enable/disable decision is made
     /// at world construction and never changes mid-run.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: the enable state is fixed at world construction"
+    )]
     pub fn restore_state(&self, state: &MetricsState) {
         match (&self.inner, &state.inner) {
             (Some(sh), Some(saved)) => {

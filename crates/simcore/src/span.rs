@@ -342,8 +342,10 @@ struct Builder {
 }
 
 impl Builder {
-    // One parameter per `Span` field; a params struct would just mirror `Span`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per `Span` field; a params struct would just mirror `Span`"
+    )]
     fn push(
         &mut self,
         id: SpanId,
@@ -553,6 +555,10 @@ impl Builder {
             } => {
                 let key = (*node, *block);
                 self.open_round(key, seq, at, Some(*job));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`open_round` inserted this key just above"
+                )]
                 let st = self.rounds.get_mut(&key).expect("round just opened");
                 if st.command.is_none() {
                     let root = st.root;
@@ -576,6 +582,10 @@ impl Builder {
             } => {
                 let key = (*node, *block);
                 self.open_round(key, seq, at, Some(*job));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`open_round` inserted this key just above"
+                )]
                 let st = self.rounds.get_mut(&key).expect("round just opened");
                 // First enqueuer owns the round — the explainer's rule.
                 if st.owner.is_none() {
@@ -586,6 +596,10 @@ impl Builder {
                     st.command_total += at.saturating_duration_since(start);
                     self.seal(id, at);
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the round was opened at the top of this arm; `seal` never removes rounds"
+                )]
                 let st = self.rounds.get_mut(&key).expect("round exists");
                 if st.queued_open.is_none() && st.transfer_open.is_none() {
                     let id = SpanId::new(seq, 1);
@@ -616,6 +630,10 @@ impl Builder {
             Event::MigrationStarted { node, block, .. } => {
                 let key = (*node, *block);
                 self.open_round(key, seq, at, None);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`open_round` inserted this key just above"
+                )]
                 let st = self.rounds.get_mut(&key).expect("round just opened");
                 let root = st.root;
                 let job = st.owner.map(|j| j as i64).unwrap_or(-1);
@@ -623,6 +641,10 @@ impl Builder {
                     st.queued_total += at.saturating_duration_since(start);
                     self.seal(id, at);
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the round was opened at the top of this arm; `seal` never removes rounds"
+                )]
                 let st = self.rounds.get_mut(&key).expect("round exists");
                 st.started_at = Some(at);
                 let id = SpanId::new(seq, 0);
@@ -699,10 +721,10 @@ impl Builder {
                 let target = self
                     .rounds
                     .iter()
-                    .filter(|((n, _), st)| *n == *node && st.command.is_some())
-                    .map(|(key, st)| {
-                        let (id, start) = st.command.expect("filtered on Some");
-                        (id, start, *key)
+                    .filter(|((n, _), _)| *n == *node)
+                    .filter_map(|(key, st)| {
+                        let (id, start) = st.command?;
+                        Some((id, start, *key))
                     })
                     .min_by_key(|(id, _, _)| *id);
                 let id = SpanId::new(seq, 0);
@@ -826,8 +848,8 @@ impl Builder {
             }
             // The remaining events carry no span evidence. Each one is
             // named (no catch-all) so that adding an `Event` variant
-            // forces a decision here; the X01 cross-check audits this
-            // match against the enum.
+            // forces a decision here: the compiler rejects this match
+            // until the new variant is handled.
             Event::JobSubmitted { .. }
             | Event::TaskStarted { .. }
             | Event::TaskSpeculated { .. }

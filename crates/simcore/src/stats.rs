@@ -168,7 +168,7 @@ impl Samples {
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             // total_cmp gives NaN a fixed place in the order instead of
-            // panicking mid-sort (lint rule F01).
+            // panicking mid-sort (rule F01, DESIGN.md §8).
             self.values.sort_by(f64::total_cmp);
             self.sorted = true;
         }
@@ -321,7 +321,10 @@ impl Histogram {
     /// Records a sample.
     pub fn record(&mut self, x: f64) {
         let lo = self.edges[0];
-        // lint: allow(P02, reason = "constructor rejects empty edge lists, so last() always exists")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor rejects empty edge lists, so last() always exists"
+        )]
         let hi = *self.edges.last().expect("edges nonempty");
         if x < lo {
             self.underflow += 1;
@@ -412,7 +415,6 @@ impl TimeWeighted {
         self.value = value;
         self.peak = self.peak.max(value);
         if self.keep_history && self.history.last().map(|&(_, v)| v) != Some(value) {
-            // lint: allow(Q01, reason = "opt-in reporting series, deduplicated per value change")
             self.history.push((now, value));
         }
     }

@@ -157,6 +157,10 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow is a caller bug, exactly as for unsigned integer subtraction"
+    )]
     fn sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(d.0).expect("SimTime underflow"))
     }
@@ -177,6 +181,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow is a caller bug, exactly as for unsigned integer subtraction"
+    )]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(other.0).expect("SimDuration underflow"))
     }

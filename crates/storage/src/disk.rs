@@ -329,6 +329,10 @@ impl Disk {
 
     /// Maps completed flow ids to reported completions; consumes flush
     /// completions internally.
+    #[expect(
+        clippy::expect_used,
+        reason = "every completed flow was registered in `inflight` when its request was submitted"
+    )]
     fn collect(&mut self, flows: Vec<FlowId>) -> Vec<Completion> {
         let mut out = Vec::new();
         for fid in flows {

@@ -113,6 +113,10 @@ impl SwimTrace {
             let hi = config.largest as f64;
             let mut raw: Vec<f64> = (0..n_large).map(|_| log_uniform(rng, lo, hi)).collect();
             // Pin the current maximum to exactly `largest`.
+            #[expect(
+                clippy::expect_used,
+                reason = "inside `if n_large > 0`, so `raw` is nonempty"
+            )]
             let (max_idx, _) = raw
                 .iter()
                 .enumerate()
