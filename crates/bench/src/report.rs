@@ -10,18 +10,19 @@ use std::path::Path;
 use ignem_cluster::chaos::{run_chaos_observed, ChaosConfig};
 use ignem_cluster::config::{ClusterConfig, FsMode};
 use ignem_cluster::experiment::{
-    run_hive, run_read_micro, run_sort, run_swim, run_swim_observed, run_swim_profiled,
-    run_wordcount,
+    run_hive, run_read_micro, run_sort, run_swim, run_swim_with, run_wordcount, swim_world,
 };
 use ignem_cluster::explain::{reconcile_critical_path, JobLeadTime, LossCause, TelemetryReport};
 use ignem_cluster::metrics::RunMetrics;
+use ignem_core::command::EvictionMode;
 use ignem_core::policy::Policy;
-use ignem_simcore::metrics::MetricsReport;
+use ignem_simcore::metrics::{MetricsRegistry, MetricsReport};
 use ignem_simcore::perfetto;
 use ignem_simcore::profile::HostProfiler;
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::span::SpanForest;
 use ignem_simcore::stats::{Histogram, Samples};
+use ignem_simcore::telemetry::FlightRecorder;
 use ignem_simcore::time::{SimDuration, SimTime};
 use ignem_simcore::units::GB;
 use ignem_storage::device::DeviceProfile;
@@ -656,8 +657,6 @@ impl Report {
     /// block at a time to preserve disk throughput; this sweep checks how
     /// much that choice matters on this substrate.
     pub fn ablation_concurrency(&mut self) -> Section {
-        use ignem_cluster::experiment::run_swim_with;
-        use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
         let mut rows = Vec::new();
         let mut text = String::from("Ablation — concurrent migration reads per slave (paper: 1)\n");
@@ -699,8 +698,6 @@ impl Report {
     /// random replica (§III-A2); extra copies burn disk bandwidth and
     /// memory for little gain because remote memory reads are cheap.
     pub fn ablation_replicas(&mut self) -> Section {
-        use ignem_cluster::experiment::run_swim_with;
-        use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
         let mut rows = Vec::new();
         let mut text = String::from("Ablation — replicas migrated per block (paper: 1)\n");
@@ -737,8 +734,6 @@ impl Report {
     /// Ablation: explicit vs implicit eviction (§III-A4's opt-in mode).
     /// Implicit eviction frees memory as soon as the job reads a block.
     pub fn ablation_eviction(&mut self) -> Section {
-        use ignem_cluster::experiment::run_swim_with;
-        use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
         let mut rows = Vec::new();
         let mut text = String::from("Ablation — eviction mode (§III-A4)\n");
@@ -1013,13 +1008,18 @@ impl Report {
     /// ([`Report::set_perfetto_out`]), the span trees and metric tracks
     /// go there as Chrome trace-event JSON.
     pub fn telemetry(&mut self) -> Section {
-        let (metrics, recorder, mreport) = run_swim_observed(
+        let recorder = FlightRecorder::new(1 << 22);
+        let registry = MetricsRegistry::new(METRICS_WINDOW);
+        let metrics = swim_world(
             &self.cfg,
             FsMode::Ignem,
             &self.trace,
-            1 << 22,
-            METRICS_WINDOW,
-        );
+            EvictionMode::Explicit,
+        )
+        .with_telemetry(Box::new(recorder.clone()))
+        .with_metrics(registry.clone())
+        .run();
+        let mreport = registry.finish(metrics.makespan);
         if let Some(path) = &self.trace_out {
             if let Some(dir) = path.parent() {
                 if !dir.as_os_str().is_empty() {
@@ -1204,7 +1204,14 @@ impl Report {
     pub fn profile(&mut self) -> Section {
         let t0 = crate::timing::wall_clock();
         let profiler = HostProfiler::new(Box::new(move || t0.elapsed().as_nanos() as u64));
-        let metrics = run_swim_profiled(&self.cfg, FsMode::Ignem, &self.trace, profiler.clone());
+        let metrics = swim_world(
+            &self.cfg,
+            FsMode::Ignem,
+            &self.trace,
+            EvictionMode::Explicit,
+        )
+        .with_profiler(profiler.clone())
+        .run();
         let mut buckets = profiler.report();
         let total_nanos: u64 = buckets.iter().map(|(_, b)| b.nanos).sum();
         let total_events: u64 = buckets.iter().map(|(_, b)| b.count).sum();

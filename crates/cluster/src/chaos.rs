@@ -59,6 +59,7 @@ use std::collections::BTreeMap;
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_netsim::rpc::RpcConfig;
 use ignem_netsim::NodeId;
+use ignem_simcore::metrics::{MetricsRegistry, MetricsReport};
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::telemetry::{Event, EventRecord, FlightRecorder};
 use ignem_simcore::time::{SimDuration, SimTime};
@@ -115,6 +116,40 @@ impl Default for ChaosConfig {
     }
 }
 
+impl ChaosConfig {
+    /// The seed's fault plan. It is drawn from an rng of its own, so the
+    /// workload shape and the simulation streams are untouched by how many
+    /// faults are drawn.
+    pub fn fault_plan(&self) -> Vec<(SimTime, Fault)> {
+        generate_faults(
+            &mut SimRng::new(self.seed ^ 0xC4A0_5EED),
+            self.nodes,
+            ClusterConfig::default().dfs.replication,
+            self.jobs,
+            self.faults,
+            self.crashes,
+        )
+    }
+
+    /// The chaos world for `faults`: the [`workload`] on a cluster with
+    /// this config's size, seed, channel and lease, and small migration
+    /// buffers. No recorder and no per-event validation are attached;
+    /// [`run_chaos_with`] adds both.
+    pub fn world(&self, faults: Vec<(SimTime, Fault)>) -> World {
+        let mut cluster = ClusterConfig {
+            nodes: self.nodes,
+            seed: self.seed,
+            rpc: self.rpc,
+            ..ClusterConfig::default()
+        };
+        // Small buffers stress eviction and liveness-triggered cleanup.
+        cluster.ignem.buffer_capacity = 512 * MIB;
+        cluster.ignem.lease = self.lease;
+        let (files, plans) = workload(self.jobs);
+        World::new(cluster, FsMode::Ignem, &files, plans, faults)
+    }
+}
+
 /// The outcome of one chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -139,6 +174,33 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// Assembles the report of a finished run of `faults` over a
+    /// `total_plans`-plan workload from its metrics and recorded stream.
+    fn new(
+        faults: Vec<(SimTime, Fault)>,
+        total_plans: usize,
+        metrics: RunMetrics,
+        events: Vec<EventRecord>,
+        events_dropped: u64,
+    ) -> ChaosReport {
+        let killed_plans = faults
+            .iter()
+            .filter_map(|(_, f)| match f {
+                Fault::KillPlan(p) => Some(*p),
+                _ => None,
+            })
+            .collect();
+        ChaosReport {
+            faults,
+            killed_plans,
+            total_plans,
+            fingerprint: fingerprint(&metrics),
+            metrics,
+            events,
+            events_dropped,
+        }
+    }
+
     /// Checks the end-state invariants (2–4, 6 and 7 of the module docs;
     /// 1 is enforced per event during the run, 5 by comparing two
     /// reports) without panicking.
@@ -554,140 +616,63 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
 /// Runs one chaos experiment with per-event invariant validation,
 /// drawing the fault plan from the seed.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    // The fault plan is drawn from a fork of its own so the workload shape
-    // and the simulation streams are untouched by how many faults we draw.
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    run_chaos_with(cfg, faults)
+    run_chaos_with(cfg, cfg.fault_plan())
 }
 
-/// The plans a fault schedule kills, in schedule order.
-fn killed_plans_of(faults: &[(SimTime, Fault)]) -> Vec<usize> {
-    faults
-        .iter()
-        .filter_map(|(_, f)| match f {
-            Fault::KillPlan(p) => Some(*p),
-            _ => None,
-        })
-        .collect()
-}
+/// Recorder capacity of a chaos run. Chaos workloads emit a few thousand
+/// events, so the recorder keeps the whole run and invariant 6 sees
+/// everything.
+const RECORDER_CAP: usize = 1 << 20;
 
-/// Builds the chaos world for `(cfg, faults)` with a fresh
-/// [`FlightRecorder`] attached and per-event validation on — shared by
-/// the straight-line runner below and the snapshot-forked minimizer,
-/// which drives the world step by step instead of calling
-/// [`World::run`]. Also returns the recorder handle and the workload's
-/// plan count.
-fn build_chaos_world(
-    cfg: &ChaosConfig,
-    faults: Vec<(SimTime, Fault)>,
-) -> (World, FlightRecorder, usize) {
-    let mut cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        rpc: cfg.rpc,
-        ..ClusterConfig::default()
-    };
-    // Small buffers stress eviction and liveness-triggered cleanup.
-    cluster.ignem.buffer_capacity = 512 * MIB;
-    cluster.ignem.lease = cfg.lease;
-    cluster.validate();
-
-    let (files, plans) = workload(cfg.jobs);
-    let total_plans = plans.len();
-    // Generous bound: chaos workloads emit a few thousand events, so the
-    // recorder keeps the whole run and invariant 6 sees everything.
-    let recorder = FlightRecorder::new(1 << 20);
-    let world = World::new(cluster, FsMode::Ignem, &files, plans, faults)
+/// [`ChaosConfig::world`] with a fresh [`FlightRecorder`] attached and
+/// per-event validation on — shared by the straight-line runner below and
+/// the snapshot-forked minimizer, which drives the world step by step
+/// instead of calling [`World::run`]. Also returns the recorder handle.
+fn recorded_world(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> (World, FlightRecorder) {
+    let recorder = FlightRecorder::new(RECORDER_CAP);
+    let world = cfg
+        .world(faults)
         .with_telemetry(Box::new(recorder.clone()))
         .with_validation();
-    (world, recorder, total_plans)
+    (world, recorder)
+}
+
+/// Runs the recorded, validated chaos world for `(cfg, faults)` after
+/// `attach` has added any purely observational handles to it.
+fn run_recorded(
+    cfg: &ChaosConfig,
+    faults: Vec<(SimTime, Fault)>,
+    attach: impl FnOnce(World) -> World,
+) -> ChaosReport {
+    let (world, recorder) = recorded_world(cfg, faults.clone());
+    let metrics = attach(world).run();
+    ChaosReport::new(
+        faults,
+        cfg.jobs,
+        metrics,
+        recorder.events(),
+        recorder.dropped(),
+    )
 }
 
 /// Runs one chaos experiment against an *explicit* fault schedule instead
 /// of a generated one — the minimizer's probe, and the replay vehicle for
 /// pinned regression schedules.
 pub fn run_chaos_with(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> ChaosReport {
-    let killed_plans = killed_plans_of(&faults);
-    let (world, recorder, total_plans) = build_chaos_world(cfg, faults.clone());
-    let metrics = world.run();
-    let fp = fingerprint(&metrics);
-    ChaosReport {
-        faults,
-        killed_plans,
-        total_plans,
-        metrics,
-        fingerprint: fp,
-        events: recorder.events(),
-        events_dropped: recorder.dropped(),
-    }
+    run_recorded(cfg, faults, |world| world)
 }
 
 /// [`run_chaos`] with a sim-time [`MetricsRegistry`] attached, returning
 /// the chaos report alongside the windowed metrics. The metrics handle is
 /// purely observational — the report (fingerprint, event stream) is
 /// bit-identical to an unobserved [`run_chaos`] of the same config.
-pub fn run_chaos_observed(
-    cfg: &ChaosConfig,
-    window: SimDuration,
-) -> (ChaosReport, ignem_simcore::metrics::MetricsReport) {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let mut cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        rpc: cfg.rpc,
-        ..ClusterConfig::default()
-    };
-    cluster.ignem.buffer_capacity = 512 * MIB;
-    cluster.ignem.lease = cfg.lease;
-    cluster.validate();
-
-    let killed_plans: Vec<usize> = faults
-        .iter()
-        .filter_map(|(_, f)| match f {
-            Fault::KillPlan(p) => Some(*p),
-            _ => None,
-        })
-        .collect();
-
-    let (files, plans) = workload(cfg.jobs);
-    let total_plans = plans.len();
-    let recorder = FlightRecorder::new(1 << 20);
-    let registry = ignem_simcore::metrics::MetricsRegistry::new(window);
-    let world = World::new(cluster, FsMode::Ignem, &files, plans, faults.clone())
-        .with_telemetry(Box::new(recorder.clone()))
-        .with_metrics(registry.clone())
-        .with_validation();
-    let metrics = world.run();
-    let report = registry.finish(metrics.makespan);
-    let fp = fingerprint(&metrics);
-    (
-        ChaosReport {
-            faults,
-            killed_plans,
-            total_plans,
-            metrics,
-            fingerprint: fp,
-            events: recorder.events(),
-            events_dropped: recorder.dropped(),
-        },
-        report,
-    )
+pub fn run_chaos_observed(cfg: &ChaosConfig, window: SimDuration) -> (ChaosReport, MetricsReport) {
+    let registry = MetricsRegistry::new(window);
+    let report = run_recorded(cfg, cfg.fault_plan(), |world| {
+        world.with_metrics(registry.clone())
+    });
+    let metrics = registry.finish(report.metrics.makespan);
+    (report, metrics)
 }
 
 /// Time-travel debugger: runs the seed's chaos experiment until the
@@ -700,16 +685,7 @@ pub fn run_chaos_observed(
 /// can also reflect the same step's later records). Returns `None` when
 /// the run finishes before ever emitting `seq`.
 pub fn state_at(cfg: &ChaosConfig, seq: u64) -> Option<(EventRecord, String)> {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let (mut world, recorder, _) = build_chaos_world(cfg, faults);
+    let (mut world, recorder) = recorded_world(cfg, cfg.fault_plan());
     loop {
         let emitted = world.telemetry_cursor().map_or(0, |(_, next)| next);
         if emitted > seq {
@@ -950,15 +926,7 @@ pub fn minimize_faults(cfg: &ChaosConfig) -> Option<MinimizedSchedule> {
 /// (the generator always sorts; the fork bookkeeping relies on it).
 pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedule>, MinimizeStats) {
     let mut stats = MinimizeStats::default();
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let full_faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
+    let full_faults = cfg.fault_plan();
     // Index order must equal injection order: snapshots taken before
     // injection j stay valid when a *later* fault is dropped, and "later"
     // is tracked by index. Sorted times guarantee it (ties pop in
@@ -970,7 +938,8 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
     let total_faults = full_faults.len();
 
     // The initial full run, capturing a snapshot before every injection.
-    let (mut world, recorder, total_plans) = build_chaos_world(cfg, full_faults.clone());
+    let total_plans = cfg.jobs;
+    let (mut world, recorder) = recorded_world(cfg, full_faults.clone());
     let mut captured = Vec::new();
     let metrics = run_capturing_snapshots(&mut world, &recorder, &[], 0, &mut captured);
     stats.probes = 1;
@@ -979,16 +948,13 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
     for (idx, snap) in captured {
         snaps[idx] = Some(snap);
     }
-    let fp = fingerprint(&metrics);
-    let full_report = ChaosReport {
-        faults: full_faults.clone(),
-        killed_plans: killed_plans_of(&full_faults),
+    let full_report = ChaosReport::new(
+        full_faults.clone(),
         total_plans,
         metrics,
-        fingerprint: fp,
-        events: recorder.events(),
-        events_dropped: recorder.dropped(),
-    };
+        recorder.events(),
+        recorder.dropped(),
+    );
     let mut violation = match full_report.check_invariants() {
         Ok(()) => return (None, stats),
         Err(v) => v,
@@ -1110,7 +1076,7 @@ fn fork_probe(
             world.suppress_fault(d);
         }
     }
-    let fork_rec = FlightRecorder::new(1 << 20);
+    let fork_rec = FlightRecorder::new(RECORDER_CAP);
     world.swap_recorder(Box::new(fork_rec.clone()));
     let start_events = world.events_processed();
     let mut captured = Vec::new();
@@ -1120,19 +1086,15 @@ fn fork_probe(
     stats.simulated_events += world.events_processed() - start_events;
     let accept = match outcome {
         Ok(metrics) => {
-            let candidate = candidate_faults(full_faults, dropped, k);
             let mut events = prefix;
             events.extend(fork_rec.events());
-            let fp = fingerprint(&metrics);
-            let cand_report = ChaosReport {
-                faults: candidate.clone(),
-                killed_plans: killed_plans_of(&candidate),
+            let cand_report = ChaosReport::new(
+                candidate_faults(full_faults, dropped, k),
                 total_plans,
                 metrics,
-                fingerprint: fp,
                 events,
-                events_dropped: prefix_dropped + fork_rec.dropped(),
-            };
+                prefix_dropped + fork_rec.dropped(),
+            );
             match cand_report.check_invariants() {
                 Ok(()) => None,
                 Err(v) => Some((v, Some(cand_report))),

@@ -9,9 +9,8 @@ use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_core::command::EvictionMode;
 use ignem_core::policy::Policy;
 use ignem_simcore::rng::SimRng;
-use ignem_simcore::telemetry::FlightRecorder;
 use ignem_simcore::time::SimDuration;
-use ignem_simcore::units::GB;
+use ignem_simcore::units::{GB, MB};
 use ignem_workloads::jobs::{sort_job, wordcount_job};
 use ignem_workloads::swim::{SwimJob, SwimTrace};
 use ignem_workloads::tpcds::HiveQuery;
@@ -63,12 +62,8 @@ impl Comparison {
 
 /// Converts a SWIM trace entry into a [`JobSpec`] over its dedicated input
 /// file. SWIM mappers "spend most of their time reading and perform very
-/// little computation" (§IV-C3), hence the high map CPU rate.
-pub fn swim_spec(idx: usize, job: &SwimJob, migrate: bool) -> JobSpec {
-    swim_spec_with(idx, job, migrate, EvictionMode::Explicit)
-}
-
-/// [`swim_spec`] with an explicit eviction mode (for the implicit-eviction
+/// little computation" (§IV-C3), hence the high map CPU rate. `mode` is
+/// the eviction mode migrating jobs request (explicit, or implicit for the
 /// ablation).
 pub fn swim_spec_with(idx: usize, job: &SwimJob, migrate: bool, mode: EvictionMode) -> JobSpec {
     let mut spec = JobSpec::new(
@@ -153,104 +148,53 @@ pub fn run_swim_with(
     trace: &SwimTrace,
     evict_mode: EvictionMode,
 ) -> RunMetrics {
-    let files = swim_files(trace);
+    swim_world(cfg, mode, trace, evict_mode).run()
+}
+
+/// The unrun world of a SWIM workload under one configuration. Jobs
+/// migrate their inputs exactly when `mode` is Ignem. Callers attach a
+/// recorder, metrics registry or profiler with the `World::with_*`
+/// builders; all of them are purely observational.
+pub fn swim_world(
+    cfg: &ClusterConfig,
+    mode: FsMode,
+    trace: &SwimTrace,
+    evict_mode: EvictionMode,
+) -> World {
     let migrate = mode == FsMode::Ignem;
     World::new(
         cfg.clone(),
         mode,
-        &files,
+        &swim_files(trace),
         swim_plan_with(trace, migrate, evict_mode),
         vec![],
     )
-    .run()
 }
 
-/// Runs the SWIM workload like [`run_swim`], but with a
-/// [`FlightRecorder`] of the given capacity installed; returns the
-/// metrics together with the recorder, so callers can feed
-/// [`FlightRecorder::events`] to the
-/// [explainer](crate::explain::TelemetryReport) or export
-/// [`FlightRecorder::to_jsonl`].
-pub fn run_swim_recorded(
-    cfg: &ClusterConfig,
-    mode: FsMode,
-    trace: &SwimTrace,
-    capacity: usize,
-) -> (RunMetrics, FlightRecorder) {
-    let files = swim_files(trace);
-    let migrate = mode == FsMode::Ignem;
-    let recorder = FlightRecorder::new(capacity);
-    let metrics = World::new(
-        cfg.clone(),
-        mode,
-        &files,
-        swim_plan_with(trace, migrate, EvictionMode::Explicit),
-        vec![],
-    )
-    .with_telemetry(Box::new(recorder.clone()))
-    .run();
-    (metrics, recorder)
-}
-
-/// Runs the SWIM workload like [`run_swim_recorded`], but with a sim-time
-/// [`MetricsRegistry`](ignem_simcore::metrics::MetricsRegistry) of the
-/// given window attached as well; returns the metrics, the recorder, and
-/// the windowed metrics report. The registry is purely observational —
-/// the event stream and [`RunMetrics`] are bit-identical to an
-/// unobserved run.
-pub fn run_swim_observed(
-    cfg: &ClusterConfig,
-    mode: FsMode,
-    trace: &SwimTrace,
-    capacity: usize,
-    window: ignem_simcore::time::SimDuration,
-) -> (
-    RunMetrics,
-    FlightRecorder,
-    ignem_simcore::metrics::MetricsReport,
-) {
-    let files = swim_files(trace);
-    let migrate = mode == FsMode::Ignem;
-    let recorder = FlightRecorder::new(capacity);
-    let registry = ignem_simcore::metrics::MetricsRegistry::new(window);
-    let metrics = World::new(
-        cfg.clone(),
-        mode,
-        &files,
-        swim_plan_with(trace, migrate, EvictionMode::Explicit),
-        vec![],
-    )
-    .with_telemetry(Box::new(recorder.clone()))
-    .with_metrics(registry.clone())
-    .run();
-    let report = registry.finish(metrics.makespan);
-    (metrics, recorder, report)
-}
-
-/// Runs the SWIM workload with a [`HostProfiler`] attached, attributing
-/// the engine's host wall-clock time to event-type buckets. The profiler
-/// never influences the simulation — it only measures how long the host
-/// spends handling each event kind — so the returned [`RunMetrics`] are
-/// bit-identical to an unprofiled run.
-///
-/// [`HostProfiler`]: ignem_simcore::profile::HostProfiler
-pub fn run_swim_profiled(
-    cfg: &ClusterConfig,
-    mode: FsMode,
-    trace: &SwimTrace,
-    profiler: ignem_simcore::profile::HostProfiler,
-) -> RunMetrics {
-    let files = swim_files(trace);
-    let migrate = mode == FsMode::Ignem;
+/// The fault-free default world: one migrating job over four 128 MB DFS
+/// files on the default cluster. The determinism sanitizer double-runs
+/// it, the golden streams pin it, and the sweep bench times it.
+pub fn default_world() -> World {
+    let files: Vec<(String, u64)> = (0..4)
+        .map(|i| (format!("/in/part-{i}"), 512 * MB / 4))
+        .collect();
+    let mut spec = JobSpec::new(
+        "sanitizer-job",
+        JobInput::DfsFiles(files.iter().map(|(p, _)| p.clone()).collect()),
+    );
+    spec.submit = SubmitOptions::with_migration();
+    let plan = vec![PlannedJob::single(
+        "sanitizer",
+        SimDuration::from_secs(1),
+        spec,
+    )];
     World::new(
-        cfg.clone(),
-        mode,
+        ClusterConfig::default(),
+        FsMode::Ignem,
         &files,
-        swim_plan_with(trace, migrate, EvictionMode::Explicit),
+        plan,
         vec![],
     )
-    .with_profiler(profiler)
-    .run()
 }
 
 /// Runs the 40 GB sort job (Table III).
@@ -427,7 +371,6 @@ pub fn run_read_micro(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ignem_simcore::units::MB;
     use ignem_workloads::swim::SwimConfig;
 
     fn small_trace() -> SwimTrace {
@@ -499,6 +442,5 @@ mod tests {
         let m = run_read_micro(&cfg, FsMode::Hdfs, 6, 4);
         assert_eq!(m.block_reads.len(), 24);
         assert!(m.block_reads.iter().all(|r| r.bytes == 64 * 1024 * 1024));
-        let _ = 512 * MB; // keep units import honest
     }
 }

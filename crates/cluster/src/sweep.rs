@@ -26,7 +26,6 @@
 //! [`World`]: crate::world::World
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Default worker count for sweeps: the machine's available parallelism,
@@ -211,50 +210,35 @@ fn seed_count_fits_pointer_width(count: u64, usize_max: u128) -> bool {
 }
 
 /// Maps `f` over `items` on `jobs` scoped worker threads, returning the
-/// results in input order. The order-restoring merge makes the output
-/// independent of worker scheduling, so parallel bench runs stay
-/// bit-reproducible. `jobs <= 1` (or a single item) maps inline.
-#[expect(
-    clippy::expect_used,
-    reason = "each index is claimed exactly once and every slot is filled once the scope joins"
-)]
+/// results in input order. A [`sweep`] over the item indices, so the
+/// output is as independent of worker scheduling as a sweep's consume
+/// sequence. `jobs <= 1` (or a single item) maps inline.
 pub fn parallel_map<I, T>(items: Vec<I>, jobs: usize, f: impl Fn(I) -> T + Sync) -> Vec<T>
 where
     I: Send,
     T: Send,
 {
-    if jobs <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
     let work: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let item = work[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let value = f(item);
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
+    let mut out = Vec::with_capacity(work.len());
+    sweep(
+        0,
+        work.len() as u64,
+        jobs,
+        // The sweep runs each index exactly once, so every take finds its
+        // item.
+        |i| {
+            let item = work[i as usize]
+                .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("every slot is filled once the scope joins")
-        })
-        .collect()
+                .take();
+            item.map(&f)
+        },
+        |_, value| {
+            out.extend(value);
+            ControlFlow::<()>::Continue(())
+        },
+    );
+    out
 }
 
 /// Distribution summary of one integer metric across the seeds of a

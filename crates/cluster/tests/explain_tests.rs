@@ -2,8 +2,9 @@
 //! recorder's determinism guarantees.
 
 use ignem_cluster::chaos::workload;
-use ignem_cluster::experiment::run_swim_recorded;
+use ignem_cluster::experiment::swim_world;
 use ignem_cluster::prelude::*;
+use ignem_core::command::EvictionMode;
 use ignem_netsim::NodeId;
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::telemetry::FlightRecorder;
@@ -64,7 +65,10 @@ fn fault_free_reliable_run_has_no_rpc_lost_and_reconciles() {
     // and the verdict counts must reconcile exactly with the metrics.
     let cfg = ClusterConfig::default();
     let trace = small_trace();
-    let (metrics, recorder) = run_swim_recorded(&cfg, FsMode::Ignem, &trace, 1 << 20);
+    let recorder = FlightRecorder::new(1 << 20);
+    let metrics = swim_world(&cfg, FsMode::Ignem, &trace, EvictionMode::Explicit)
+        .with_telemetry(Box::new(recorder.clone()))
+        .run();
     assert_eq!(recorder.dropped(), 0, "flight recorder truncated");
     let report = TelemetryReport::from_events(&recorder.events());
     report.reconcile(&metrics).expect("verdicts must reconcile");
@@ -87,7 +91,10 @@ fn seeded_runs_export_bit_identical_jsonl() {
     let cfg = ClusterConfig::default();
     let run = || {
         let trace = small_trace();
-        let (_, recorder) = run_swim_recorded(&cfg, FsMode::Ignem, &trace, 1 << 20);
+        let recorder = FlightRecorder::new(1 << 20);
+        swim_world(&cfg, FsMode::Ignem, &trace, EvictionMode::Explicit)
+            .with_telemetry(Box::new(recorder.clone()))
+            .run();
         recorder.to_jsonl()
     };
     let first = run();

@@ -15,7 +15,8 @@
 
 mod common;
 
-use common::{chaos_world_304, chaos_world_crash_14, default_world, RECORDER_CAP};
+use common::{chaos_world_304, chaos_world_crash_14, RECORDER_CAP};
+use ignem_cluster::experiment::default_world;
 use ignem_cluster::prelude::*;
 use ignem_cluster::sanitizer::hash_chain;
 

@@ -6,8 +6,7 @@
 //! chaos-sweep --bench-out PATH [--bench-seeds N] [--jobs N]
 //!             [--bench-baseline PATH]
 //! chaos-sweep --bench-minimize-out PATH
-//! chaos-sweep --bench-scale-out PATH [--scale-nodes N] [--scale-days N]
-//!             [--scale-smoke-only]
+//! chaos-sweep --bench-scale-out PATH [--scale-smoke-only]
 //! ```
 //!
 //! Runs seeds `start..start + SEEDS` (default 256 from 0) through the
@@ -19,7 +18,7 @@
 //! `chaos-minimized.txt`) for CI artifact upload, and the process exits
 //! nonzero.
 //!
-//! `--crashes N` adds N [`Fault::NodeCrash`] draws to every seed's fault
+//! `--crashes N` adds N `Fault::NodeCrash` draws to every seed's fault
 //! plan (on top of the default palette), exercising the crash/recovery
 //! protocol and the recovery-convergence invariant. The crash draws are
 //! appended after the base draws, so `--crashes 0` (the default) sweeps
@@ -30,54 +29,46 @@
 //! seed order — stdout, stderr, the exit code and the minimized-schedule
 //! artifact are byte-identical to `--jobs 1`.
 //!
-//! `--bench-out` switches to bench mode: instead of sweeping for
-//! violations it times representative scenarios (single fault-free world,
-//! single chaos world, the SWIM run with and without the sim-time metrics
-//! registry, and a jobs ∈ {1, 2, 4, `--jobs`} verification-sweep scaling
-//! curve timed round-robin so host-frequency drift cannot bias one worker
-//! count against another), writes
-//! events/sec, total events and wall time per scenario as JSON to PATH,
-//! and prints a short summary. `--bench-baseline OLD.json` embeds a
-//! previously committed report under `"baseline"` and records the
-//! speedups against it, so one file carries both sides of a before/after
-//! comparison (see DESIGN.md §9 for how to read it).
+//! The three bench modes share one emitter: one [`Scenario`] row type,
+//! one round-robin timer (each round runs every body of the mode once and
+//! starts one body further along, so the paired scenarios alternate which
+//! goes first and host-frequency drift falls on all bodies equally) and
+//! one [`write_report`]. A mode that fails a check exits nonzero and
+//! writes no report. README "Benchmarks" and DESIGN.md §9 describe every
+//! scenario and field.
 //!
-//! `--bench-scale-out` benches the datacenter-scale streaming path: a
-//! Google-trace replay ([`ignem_workloads::stream`]) admitted lazily into
-//! a cluster running the sweep heartbeat
-//! ([`ClusterConfig::heartbeat_sweep`]). It times two scenarios — a
-//! reduced `scale_smoke` world (1024 nodes, one simulated day, the CI
-//! gate) and the full `scale_full` world (12 288 nodes, one simulated
-//! month, the paper's §II datacenter) — recording events/sec, simulated
-//! seconds per wall second, per-world resident bytes (RSS delta across
-//! construction) and the process peak RSS. `--scale-smoke-only` skips the
-//! full world so CI stays fast; `--scale-nodes`/`--scale-days` resize the
-//! full scenario. The committed reference lives in `BENCH_scale.json`.
-//!
-//! `--bench-minimize-out` benches the fault minimizer on the pinned
-//! seed-304 reference leak, interleaving the full-replay baseline
-//! (`minimize_faults_replay`) with the snapshot-forked shrink
-//! (`minimize_faults`). The per-scenario `events` field counts *simulated*
-//! events, so CI can gate on the fork doing strictly less simulation work
-//! for the same minimal schedule (the committed `BENCH_minimize.json`
-//! holds the reference report).
+//! - `--bench-out` times single worlds (fault-free, chaos seed 304, the
+//!   SWIM run with and without the metrics registry) and a jobs ∈ {1, 2,
+//!   4, `--jobs`} verification-sweep curve. Any curve seed that fails its
+//!   invariants or determinism rerun fails the bench. `--bench-baseline
+//!   OLD.json` embeds an earlier report and the speedups against it; an
+//!   unreadable baseline fails the bench.
+//! - `--bench-minimize-out` times the full-replay minimizer against the
+//!   snapshot-forked one on the pinned seed-304 leak; `events` counts
+//!   simulated events, which CI gates exactly.
+//! - `--bench-scale-out` streams Google-trace arrivals through a
+//!   heartbeat-sweep cluster ([`ClusterConfig::heartbeat_sweep`]):
+//!   `scale_smoke` (1024 nodes, one day, the CI gate) and, unless
+//!   `--scale-smoke-only`, `scale_full` (12 288 nodes, one month).
 
+use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::process::ExitCode;
 
 use ignem_bench::wall_clock;
 use ignem_cluster::chaos::{
     minimize_faults, minimize_faults_replay_with_stats, minimize_faults_with_stats, run_chaos,
-    ChaosConfig,
+    ChaosConfig, MinimizeStats, MinimizedSchedule,
 };
 use ignem_cluster::config::{ClusterConfig, FsMode};
-use ignem_cluster::experiment::{run_swim_observed, run_swim_recorded};
+use ignem_cluster::experiment::{default_world, swim_world};
 use ignem_cluster::sweep::{default_jobs, sweep};
 use ignem_cluster::world::{PlannedJob, World};
-use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
+use ignem_core::command::EvictionMode;
+use ignem_simcore::metrics::MetricsRegistry;
 use ignem_simcore::rng::SimRng;
+use ignem_simcore::telemetry::FlightRecorder;
 use ignem_simcore::time::SimDuration;
-use ignem_simcore::units::MB;
 use ignem_workloads::stream::{replay_files, JobArrival, ReplayConfig, ReplayStream};
 use ignem_workloads::swim::{SwimConfig, SwimTrace};
 
@@ -92,50 +83,25 @@ fn main() -> ExitCode {
     let mut bench_baseline: Option<String> = None;
     let mut bench_minimize_out: Option<String> = None;
     let mut bench_scale_out: Option<String> = None;
-    let mut scale_nodes: usize = 12_288;
-    let mut scale_days: u64 = 30;
     let mut scale_smoke_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--start" => start = parse(args.next(), "--start"),
-            "--out" => out = args.next().unwrap_or_else(|| usage("--out needs a path")),
-            "--jobs" => jobs = Some(parse(args.next(), "--jobs").max(1) as usize),
-            "--crashes" => crashes = parse(args.next(), "--crashes") as usize,
-            "--bench-out" => {
-                bench_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-out needs a path")),
-                )
-            }
-            "--bench-seeds" => bench_seeds = parse(args.next(), "--bench-seeds"),
-            "--bench-minimize-out" => {
-                bench_minimize_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-minimize-out needs a path")),
-                )
-            }
-            "--bench-scale-out" => {
-                bench_scale_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-scale-out needs a path")),
-                )
-            }
-            "--scale-nodes" => scale_nodes = parse(args.next(), "--scale-nodes").max(1) as usize,
-            "--scale-days" => scale_days = parse(args.next(), "--scale-days").max(1),
+            "--start" => start = parse(args.next(), &arg),
+            "--out" => out = path(args.next(), &arg),
+            "--jobs" => jobs = Some(parse(args.next(), &arg).max(1) as usize),
+            "--crashes" => crashes = parse(args.next(), &arg) as usize,
+            "--bench-out" => bench_out = Some(path(args.next(), &arg)),
+            "--bench-seeds" => bench_seeds = parse(args.next(), &arg),
+            "--bench-minimize-out" => bench_minimize_out = Some(path(args.next(), &arg)),
+            "--bench-scale-out" => bench_scale_out = Some(path(args.next(), &arg)),
             "--scale-smoke-only" => scale_smoke_only = true,
-            "--bench-baseline" => {
-                bench_baseline = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-baseline needs a path")),
-                )
-            }
+            "--bench-baseline" => bench_baseline = Some(path(args.next(), &arg)),
             "--help" | "-h" => usage(
                 "chaos-sweep [SEEDS] [--start N] [--out PATH] [--jobs N] [--crashes N]\n\
                  chaos-sweep --bench-out PATH [--bench-seeds N] [--jobs N] [--bench-baseline PATH]\n\
                  chaos-sweep --bench-minimize-out PATH\n\
-                 chaos-sweep --bench-scale-out PATH [--scale-nodes N] [--scale-days N] \
-                 [--scale-smoke-only]",
+                 chaos-sweep --bench-scale-out PATH [--scale-smoke-only]",
             ),
             other => seeds = parse(Some(other.to_string()), "SEEDS"),
         }
@@ -146,7 +112,7 @@ fn main() -> ExitCode {
         return bench_minimize(&path);
     }
     if let Some(path) = bench_scale_out {
-        return bench_scale(&path, scale_nodes, scale_days, scale_smoke_only);
+        return bench_scale(&path, scale_smoke_only);
     }
     if let Some(path) = bench_out {
         return bench(&path, bench_seeds, jobs, bench_baseline.as_deref());
@@ -237,211 +203,178 @@ fn seed_outcome(seed: u64, crashes: usize) -> SeedOutcome {
 // Bench mode
 // ---------------------------------------------------------------------
 
-/// One timed bench scenario, serialized into `BENCH_sweep.json`.
+/// One timed bench scenario: a row of a `BENCH_*.json` report.
 struct Scenario {
     name: &'static str,
-    seeds: Option<u64>,
-    jobs: Option<usize>,
-    runs: u64,
+    /// Shape-specific fields (preformatted JSON numbers), written between
+    /// `name` and `events`.
+    fields: Vec<(&'static str, String)>,
     events: u64,
     wall_secs: f64,
 }
 
 impl Scenario {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
+    /// A scenario timed over `runs` repetitions of one body.
+    fn repeated(name: &'static str, runs: u64, (events, wall_secs): (u64, f64)) -> Scenario {
+        Scenario {
+            name,
+            fields: vec![("runs", runs.to_string())],
+            events,
+            wall_secs,
         }
     }
 
-    fn to_json(&self, calib_mb_per_sec: f64) -> String {
-        let mut s = format!("    {{\"name\": \"{}\"", self.name);
-        if let Some(n) = self.seeds {
-            s.push_str(&format!(", \"seeds\": {n}"));
-        }
-        if let Some(j) = self.jobs {
-            s.push_str(&format!(", \"jobs\": {j}"));
+    /// A point of the verification-sweep scaling curve: `seeds` seeds on
+    /// `jobs` workers, `SWEEP_REPS` times over.
+    fn sweep_curve(name: &'static str, seeds: u64, jobs: usize, timing: (u64, f64)) -> Scenario {
+        // Each seed runs twice (determinism check).
+        let mut sc = Scenario::repeated(name, 2 * seeds * SWEEP_REPS, timing);
+        let curve = [("seeds", seeds.to_string()), ("jobs", jobs.to_string())];
+        sc.fields.splice(0..0, curve);
+        sc
+    }
+
+    fn events_per_sec(&self) -> f64 {
+        ratio(self.events as f64, self.wall_secs)
+    }
+
+    fn to_json(&self, mb_per_sec: f64) -> String {
+        let mut s = format!("{{\"name\": \"{}\"", self.name);
+        for (key, value) in &self.fields {
+            s.push_str(&format!(", \"{key}\": {value}"));
         }
         s.push_str(&format!(
-            ", \"runs\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
+            ", \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
              \"events_per_mb_hashed\": {:.3}}}",
-            self.runs,
             self.events,
             self.wall_secs,
             self.events_per_sec(),
-            if calib_mb_per_sec > 0.0 {
-                self.events_per_sec() / calib_mb_per_sec
-            } else {
-                0.0
-            }
+            ratio(self.events_per_sec(), mb_per_sec)
         ));
         s
     }
 }
 
-/// The fault-free default world the sanitizer also double-runs: one
-/// migrating job over four DFS files on the default cluster.
-fn default_world() -> World {
-    let files: Vec<(String, u64)> = (0..4)
-        .map(|i| (format!("/in/part-{i}"), 512 * MB / 4))
-        .collect();
-    let mut spec = JobSpec::new(
-        "bench-default",
-        JobInput::DfsFiles(files.iter().map(|(p, _)| p.clone()).collect()),
-    );
-    spec.submit = SubmitOptions::with_migration();
-    let plan = vec![PlannedJob::single(
-        "bench-default",
-        SimDuration::from_secs(1),
-        spec,
-    )];
-    World::new(
-        ClusterConfig::default(),
-        FsMode::Ignem,
-        &files,
-        plan,
-        vec![],
-    )
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
 }
 
 /// Host CPU calibration: FNV-1a over a fixed pseudorandom buffer. Dividing
 /// events/sec by this MB/s rate gives `events_per_mb_hashed`, a roughly
 /// machine-independent throughput figure CI can compare across runners.
-fn calibrate() -> (u64, f64) {
-    const BUF: usize = 8 << 20;
-    const PASSES: usize = 16;
-    let mut buf = vec![0u8; BUF];
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for b in buf.iter_mut() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *b = x as u8;
+struct Calibration {
+    bytes: u64,
+    wall_secs: f64,
+}
+
+impl Calibration {
+    fn measure() -> Calibration {
+        const BUF: usize = 8 << 20;
+        const PASSES: usize = 16;
+        println!("bench: calibrating host…");
+        let mut buf = vec![0u8; BUF];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for b in buf.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *b = x as u8;
+        }
+        let t = wall_clock();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..PASSES {
+            for &b in &buf {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let calibration = Calibration {
+            bytes: (BUF * PASSES) as u64,
+            wall_secs: t.elapsed().as_secs_f64(),
+        };
+        std::hint::black_box(h);
+        println!("bench: {:.0} MB/s FNV-1a", calibration.mb_per_sec());
+        calibration
     }
-    let t = wall_clock();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for _ in 0..PASSES {
-        for &b in &buf {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+
+    fn mb_per_sec(&self) -> f64 {
+        self.bytes as f64 / (1 << 20) as f64 / self.wall_secs
+    }
+}
+
+/// A whole bench report: the host calibration, the timed scenarios, and
+/// the mode's own top-level fields (preformatted JSON values), written
+/// after the scenarios.
+struct Bench {
+    calibration: Calibration,
+    scenarios: Vec<Scenario>,
+    extra: Vec<(&'static str, String)>,
+}
+
+impl Bench {
+    fn to_json(&self, generator: &str) -> String {
+        let mb_per_sec = self.calibration.mb_per_sec();
+        let mut json = format!(
+            "{{\n  \"schema\": 1,\n  \"generator\": \"{generator}\",\n  \"calibration\": \
+             {{\"bytes\": {}, \"wall_secs\": {:.6}, \"mb_per_sec\": {mb_per_sec:.1}}},\n  \
+             \"scenarios\": [\n",
+            self.calibration.bytes, self.calibration.wall_secs
+        );
+        let rows: Vec<String> = self
+            .scenarios
+            .iter()
+            .map(|sc| format!("    {}", sc.to_json(mb_per_sec)))
+            .collect();
+        json.push_str(&rows.join(",\n"));
+        json.push_str("\n  ]");
+        for (key, value) in &self.extra {
+            json.push_str(&format!(",\n  \"{key}\": {value}"));
+        }
+        json.push_str("\n}\n");
+        json
+    }
+}
+
+/// Writes `bench` to `path` as the report of `generator` (the command
+/// line that produced it).
+fn write_report(path: &str, generator: &str, bench: &Bench) -> ExitCode {
+    if let Err(e) = std::fs::write(path, bench.to_json(generator)) {
+        eprintln!("could not write {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("bench: wrote {path}");
+    ExitCode::SUCCESS
+}
+
+/// Times each body (which returns the events it processed) `rounds`
+/// times, round-robin: every round runs every body once, starting one
+/// body further along than the round before. Slow host-frequency drift
+/// (turbo decay, thermal throttling) and the cost of following another
+/// body (a pool teardown's reclamation, say) thus fall on every body
+/// equally — CI gates on ratios between bodies timed together, which
+/// back-to-back blocks would bias against whichever ran last. Returns
+/// each body's summed events and wall seconds.
+fn time_round_robin(rounds: u64, bodies: &[&dyn Fn() -> u64]) -> Vec<(u64, f64)> {
+    let mut totals = vec![(0u64, 0f64); bodies.len()];
+    for round in 0..rounds as usize {
+        for k in 0..bodies.len() {
+            let i = (round + k) % bodies.len();
+            let t = wall_clock();
+            totals[i].0 += bodies[i]();
+            totals[i].1 += t.elapsed().as_secs_f64();
         }
     }
-    let secs = t.elapsed().as_secs_f64();
-    std::hint::black_box(h);
-    ((BUF * PASSES) as u64, secs)
-}
-
-/// Times `body` (which returns events processed) over `runs` repetitions.
-fn time_scenario(name: &'static str, runs: u64, body: impl Fn() -> u64) -> Scenario {
-    let t = wall_clock();
-    let mut events = 0u64;
-    for _ in 0..runs {
-        events += body();
-    }
-    Scenario {
-        name,
-        seeds: None,
-        jobs: None,
-        runs,
-        events,
-        wall_secs: t.elapsed().as_secs_f64(),
-    }
-}
-
-/// Times two bodies over `runs` repetitions each, alternating per
-/// iteration so slow host-frequency drift (turbo decay, thermal
-/// throttling) hits both scenarios equally. CI gates on the pair's
-/// throughput ratio, which back-to-back blocks would bias against
-/// whichever scenario runs second.
-fn time_scenario_pair(
-    a_name: &'static str,
-    b_name: &'static str,
-    runs: u64,
-    a: impl Fn() -> u64,
-    b: impl Fn() -> u64,
-) -> (Scenario, Scenario) {
-    let (mut a_events, mut b_events) = (0u64, 0u64);
-    let (mut a_secs, mut b_secs) = (0f64, 0f64);
-    for _ in 0..runs {
-        let t = wall_clock();
-        a_events += a();
-        a_secs += t.elapsed().as_secs_f64();
-        let t = wall_clock();
-        b_events += b();
-        b_secs += t.elapsed().as_secs_f64();
-    }
-    let scenario = |name, events, wall_secs| Scenario {
-        name,
-        seeds: None,
-        jobs: None,
-        runs,
-        events,
-        wall_secs,
-    };
-    (
-        scenario(a_name, a_events, a_secs),
-        scenario(b_name, b_events, b_secs),
-    )
+    totals
 }
 
 /// How many times each sweep scenario repeats its full seed range: single
 /// sweeps finish in fractions of a second, so timing one pass would be
 /// mostly noise.
 const SWEEP_REPS: u64 = 8;
-
-/// Times the full per-seed verification over `seeds` seeds once per
-/// `(name, jobs)` entry, `SWEEP_REPS` rounds over, **interleaved**: each
-/// round times every entry back to back before the next round starts, so
-/// slow host-frequency drift hits all worker counts equally. The old
-/// back-to-back blocks biased the comparison against whichever sweep ran
-/// last — the committed `sweep_parallel_speedup: 0.938` "regression" was
-/// exactly that bias, measured between two identical jobs=1 loops.
-fn time_sweep_curve(seeds: u64, entries: &[(&'static str, usize)]) -> Vec<Scenario> {
-    let mut events = vec![0u64; entries.len()];
-    let mut walls = vec![0f64; entries.len()];
-    let mut violations = 0u64;
-    for rep in 0..SWEEP_REPS as usize {
-        // Rotate the starting entry each rep so no scenario always runs
-        // in the same position (e.g. right after a pool teardown, whose
-        // reclamation would otherwise tax the same follower every time).
-        for k in 0..entries.len() {
-            let i = (rep + k) % entries.len();
-            let (_, jobs) = entries[i];
-            let t = wall_clock();
-            sweep(
-                0,
-                seeds,
-                jobs,
-                |seed| seed_outcome(seed, 0),
-                |_seed, outcome| {
-                    events[i] += outcome.events;
-                    if outcome.verdict.is_err() {
-                        violations += 1;
-                    }
-                    ControlFlow::<()>::Continue(())
-                },
-            );
-            walls[i] += t.elapsed().as_secs_f64();
-        }
-    }
-    if violations > 0 {
-        eprintln!("sweep curve: {violations} seed violation(s) during bench");
-    }
-    entries
-        .iter()
-        .zip(events)
-        .zip(walls)
-        .map(|((&(name, jobs), events), wall_secs)| Scenario {
-            name,
-            seeds: Some(seeds),
-            jobs: Some(jobs),
-            runs: 2 * seeds * SWEEP_REPS, // each seed runs twice (determinism check)
-            events,
-            wall_secs,
-        })
-        .collect()
-}
 
 /// Pulls `"field": <number>` out of the object that contains
 /// `"name": "<scenario>"` in a bench report we wrote ourselves. Good
@@ -457,6 +390,191 @@ fn scenario_number(text: &str, scenario: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+fn bench(path: &str, bench_seeds: u64, jobs: usize, baseline: Option<&str>) -> ExitCode {
+    let baseline = match baseline.map(|p| (p, std::fs::read_to_string(p))) {
+        None => None,
+        Some((_, Ok(text))) => Some(text),
+        Some((p, Err(e))) => {
+            eprintln!("could not read baseline {p}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let calibration = Calibration::measure();
+
+    // World construction (DFS preload, per-node setup) is not the event
+    // loop the scenario measures; building the template once and cloning
+    // it per repetition keeps the per-run cost to the clone + the run.
+    let template = default_world();
+    let single_default = Scenario::repeated(
+        "single_default",
+        1000,
+        time_round_robin(1000, &[&|| template.clone().run().events_processed])[0],
+    );
+    let cfg304 = ChaosConfig {
+        seed: 304,
+        ..ChaosConfig::default()
+    };
+    let single_chaos = Scenario::repeated(
+        "single_chaos_304",
+        500,
+        time_round_robin(500, &[&|| run_chaos(&cfg304).metrics.events_processed])[0],
+    );
+    // The SWIM run — the workload the report's telemetry section actually
+    // observes — with and without the sim-time metrics registry, timed
+    // together: CI gates the metrics overhead by comparing the two
+    // scenarios' `events_per_mb_hashed` within one report. (The chaos
+    // world above would be a poor denominator: at ~330 events per run its
+    // timing is dominated by per-run setup, not by per-event cost.)
+    let cluster = ClusterConfig::default();
+    let trace = SwimTrace::generate(&SwimConfig::default(), &mut SimRng::new(7));
+    let recorded_swim = || {
+        swim_world(&cluster, FsMode::Ignem, &trace, EvictionMode::Explicit)
+            .with_telemetry(Box::new(FlightRecorder::new(1 << 22)))
+    };
+    let swim = time_round_robin(
+        20,
+        &[&|| recorded_swim().run().events_processed, &|| {
+            let registry = MetricsRegistry::new(SimDuration::from_secs(10));
+            let metrics = recorded_swim().with_metrics(registry.clone()).run();
+            registry.finish(metrics.makespan);
+            metrics.events_processed
+        }],
+    );
+    // The scaling curve: jobs=1 (the inline serial loop `sweep` routes
+    // single-worker requests to), 2 and 4 pooled workers, and the
+    // requested `--jobs` count.
+    let failed_seeds = Cell::new(0u64);
+    let curve_body = |jobs: usize| {
+        let failed_seeds = &failed_seeds;
+        move || {
+            let mut events = 0;
+            sweep(
+                0,
+                bench_seeds,
+                jobs,
+                |seed| seed_outcome(seed, 0),
+                |_seed, outcome| {
+                    events += outcome.events;
+                    failed_seeds.set(failed_seeds.get() + u64::from(outcome.verdict.is_err()));
+                    ControlFlow::<()>::Continue(())
+                },
+            );
+            events
+        }
+    };
+    let (serial, jobs2, jobs4, parallel) = (
+        curve_body(1),
+        curve_body(2),
+        curve_body(4),
+        curve_body(jobs),
+    );
+    let curve = time_round_robin(SWEEP_REPS, &[&serial, &jobs2, &jobs4, &parallel]);
+    if failed_seeds.get() > 0 {
+        eprintln!(
+            "bench: {} timed sweep seed run(s) failed their invariants or determinism rerun",
+            failed_seeds.get()
+        );
+        return ExitCode::FAILURE;
+    }
+
+    let mut scenarios = vec![
+        single_default,
+        single_chaos,
+        Scenario::repeated("single_swim", 20, swim[0]),
+        Scenario::repeated("single_swim_metrics", 20, swim[1]),
+    ];
+    for ((name, jobs), timing) in [
+        ("sweep_serial", 1),
+        ("sweep_jobs2", 2),
+        ("sweep_jobs4", 4),
+        ("sweep_parallel", jobs),
+    ]
+    .into_iter()
+    .zip(curve)
+    {
+        scenarios.push(Scenario::sweep_curve(name, bench_seeds, jobs, timing));
+    }
+    for sc in &scenarios {
+        println!(
+            "bench: {} {} events in {:.2}s ({:.0} events/sec)",
+            sc.name,
+            sc.events,
+            sc.wall_secs,
+            sc.events_per_sec()
+        );
+    }
+    let bench = sweep_bench(
+        calibration,
+        jobs,
+        bench_seeds,
+        scenarios,
+        baseline.as_deref(),
+    );
+    write_report(path, "chaos-sweep --bench-out", &bench)
+}
+
+/// Assembles the `--bench-out` report. `scenarios` are in the order
+/// `bench` times them: `single_default`, `single_chaos_304`, the two
+/// SWIM runs, then the sweep curve from serial to `--jobs`. With a
+/// `baseline` report, records (and prints) the speedups against it:
+/// wall-clock for the sweep (what CI budgets), events/sec for the single
+/// runs (per-event dispatch cost). Raw ratios compare the two hosts
+/// as-is; `events_per_mb_hashed` ratios divide each side by its own
+/// calibration rate first, so they stay meaningful when the baseline was
+/// recorded on a faster (or merely less noisy) machine phase.
+fn sweep_bench(
+    calibration: Calibration,
+    jobs: usize,
+    bench_seeds: u64,
+    scenarios: Vec<Scenario>,
+    baseline: Option<&str>,
+) -> Bench {
+    let (serial, parallel) = (&scenarios[4], &scenarios[scenarios.len() - 1]);
+    let mut extra = vec![
+        ("jobs", jobs.to_string()),
+        ("bench_seeds", bench_seeds.to_string()),
+        (
+            "sweep_parallel_speedup",
+            format!("{:.3}", ratio(serial.wall_secs, parallel.wall_secs)),
+        ),
+    ];
+    if let Some(old) = baseline {
+        let old = old.trim();
+        let mut vs = vec![(
+            "sweep_wall_speedup".to_string(),
+            scenario_number(old, "sweep_serial", "wall_secs")
+                .map(|w| w / parallel.wall_secs.max(1e-9)),
+        )];
+        let mb_per_sec = calibration.mb_per_sec().max(1e-9);
+        for (field, per) in [
+            ("events_per_sec", 1.0),
+            ("events_per_mb_hashed", mb_per_sec),
+        ] {
+            for sc in &scenarios[..2] {
+                vs.push((
+                    format!("{}_{field}_ratio", sc.name),
+                    scenario_number(old, sc.name, field)
+                        .map(|r| sc.events_per_sec() / per / r.max(1e-9)),
+                ));
+            }
+        }
+        let mut fields = Vec::new();
+        for (key, value) in vs {
+            if let Some(v) = value {
+                println!("bench: {key} vs baseline: {v:.2}x");
+            }
+            fields.push(format!("\"{key}\": {:.3}", value.unwrap_or(0.0)));
+        }
+        extra.push(("vs_baseline", format!("{{{}}}", fields.join(", "))));
+        extra.push(("baseline", old.to_string()));
+    }
+    Bench {
+        calibration,
+        scenarios,
+        extra,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scale-out bench mode
 // ---------------------------------------------------------------------
@@ -465,64 +583,10 @@ fn scenario_number(text: &str, scenario: &str, field: &str) -> Option<f64> {
 /// committed `BENCH_scale.json` event counts are reproducible bit-for-bit.
 const SCALE_STREAM_SEED: u64 = 0x5CA1_E001;
 
-/// One timed scale-out scenario, serialized into `BENCH_scale.json`.
-struct ScaleScenario {
-    name: &'static str,
-    nodes: usize,
-    sim_days: u64,
-    jobs: u64,
-    jobs_completed: u64,
-    events: u64,
-    wall_secs: f64,
-    sim_secs: f64,
-    /// RSS growth across world construction + DFS preload — the resident
-    /// footprint one streamed world costs the process.
-    world_resident_bytes: u64,
-    /// `VmHWM` after the run: the process-wide peak, including the run
-    /// itself (metrics accumulation, occupancy change logs).
-    peak_rss_bytes: u64,
-}
-
-impl ScaleScenario {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self, calib_mb_per_sec: f64) -> String {
-        format!(
-            "    {{\"name\": \"{}\", \"nodes\": {}, \"sim_days\": {}, \"jobs\": {}, \
-             \"jobs_completed\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"events_per_mb_hashed\": {:.3}, \
-             \"sim_secs\": {:.1}, \"sim_secs_per_wall_sec\": {:.1}, \
-             \"world_resident_bytes\": {}, \"peak_rss_bytes\": {}}}",
-            self.name,
-            self.nodes,
-            self.sim_days,
-            self.jobs,
-            self.jobs_completed,
-            self.events,
-            self.wall_secs,
-            self.events_per_sec(),
-            if calib_mb_per_sec > 0.0 {
-                self.events_per_sec() / calib_mb_per_sec
-            } else {
-                0.0
-            },
-            self.sim_secs,
-            if self.wall_secs > 0.0 {
-                self.sim_secs / self.wall_secs
-            } else {
-                0.0
-            },
-            self.world_resident_bytes,
-            self.peak_rss_bytes,
-        )
-    }
-}
+/// Size of the `scale_full` world: the paper's §II datacenter, 12 288
+/// nodes for one simulated month.
+const SCALE_FULL_NODES: usize = 12_288;
+const SCALE_FULL_DAYS: u64 = 30;
 
 /// A `VmRSS:`/`VmHWM:`-style field of `/proc/self/status`, in bytes.
 /// Returns 0 where procfs is unavailable (the JSON then records zeros
@@ -549,9 +613,10 @@ fn arrival_plan(a: JobArrival) -> PlannedJob {
 /// Builds and runs one streamed trace-replay world: `days` of Google-trace
 /// arrivals over a `nodes`-node Ignem cluster with the cluster-wide
 /// heartbeat sweep. The DFS namespace is preloaded (file creation draws
-/// from the world rng); the jobs themselves are admitted lazily from the
-/// pull-based stream, so no full job plan ever materialises.
-fn run_scale(name: &'static str, nodes: usize, days: u64) -> ScaleScenario {
+/// from the world rng); the jobs are admitted lazily from the pull-based
+/// stream, so no full job plan ever materialises. Fails if any admitted
+/// job did not complete.
+fn run_scale(name: &'static str, nodes: usize, days: u64) -> Result<Scenario, String> {
     let rcfg = ReplayConfig::default();
     let jobs = (rcfg.arrivals_per_sec * (days * 86_400) as f64).round() as u64;
     let rcfg = ReplayConfig {
@@ -570,104 +635,84 @@ fn run_scale(name: &'static str, nodes: usize, days: u64) -> ScaleScenario {
     let mut world =
         World::new(cfg, FsMode::Ignem, &files, vec![], vec![]).with_arrivals(Box::new(stream));
     drop(files);
-    let rss_built = proc_status_bytes("VmRSS:");
+    let world_resident_bytes = proc_status_bytes("VmRSS:").saturating_sub(rss_before);
     let t = wall_clock();
     world.run_to_end();
     let wall_secs = t.elapsed().as_secs_f64();
     let events = world.events_processed();
     let sim_secs = world.now().as_secs_f64();
-    let metrics = world.finalize_mut();
-    ScaleScenario {
+    let jobs_completed = world.finalize_mut().jobs.len() as u64;
+    let peak_rss_bytes = proc_status_bytes("VmHWM:");
+    println!(
+        "bench: {name} {jobs_completed} jobs, {events} events in {wall_secs:.1}s wall \
+         ({:.0} events/sec, {:.0} sim-secs/sec, world {} MiB resident, peak RSS {} MiB)",
+        ratio(events as f64, wall_secs),
+        ratio(sim_secs, wall_secs),
+        world_resident_bytes >> 20,
+        peak_rss_bytes >> 20,
+    );
+    if jobs_completed < jobs {
+        return Err(format!(
+            "bench: {name} completed only {jobs_completed} of {jobs} admitted jobs"
+        ));
+    }
+    Ok(Scenario {
         name,
-        nodes,
-        sim_days: days,
-        jobs,
-        jobs_completed: metrics.jobs.len() as u64,
+        fields: vec![
+            ("nodes", nodes.to_string()),
+            ("sim_days", days.to_string()),
+            ("jobs", jobs.to_string()),
+            ("jobs_completed", jobs_completed.to_string()),
+            ("sim_secs", format!("{sim_secs:.1}")),
+            (
+                "sim_secs_per_wall_sec",
+                format!("{:.1}", ratio(sim_secs, wall_secs)),
+            ),
+            ("world_resident_bytes", world_resident_bytes.to_string()),
+            ("peak_rss_bytes", peak_rss_bytes.to_string()),
+        ],
         events,
         wall_secs,
-        sim_secs,
-        world_resident_bytes: rss_built.saturating_sub(rss_before),
-        peak_rss_bytes: proc_status_bytes("VmHWM:"),
-    }
+    })
 }
 
 /// Benches the datacenter-scale streaming path and writes
 /// `BENCH_scale.json`-shaped output: the reduced `scale_smoke` world CI
 /// gates on, plus (unless `smoke_only`) the full 12k-node / one-month
 /// world the success criterion of DESIGN.md §9 pins.
-fn bench_scale(path: &str, nodes: usize, days: u64, smoke_only: bool) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
-    let mut scenarios: Vec<ScaleScenario> = Vec::new();
-    for (name, n, d) in [
-        ("scale_smoke", 1024usize, 1u64),
-        ("scale_full", nodes, days),
-    ] {
-        if smoke_only && name != "scale_smoke" {
-            continue;
+fn bench_scale(path: &str, smoke_only: bool) -> ExitCode {
+    let calibration = Calibration::measure();
+    let worlds = [
+        ("scale_smoke", 1024, 1),
+        ("scale_full", SCALE_FULL_NODES, SCALE_FULL_DAYS),
+    ];
+    let mut scenarios = Vec::new();
+    for (name, nodes, days) in worlds.into_iter().take(if smoke_only { 1 } else { 2 }) {
+        println!("bench: {name} — {nodes} nodes, {days} simulated day(s)…");
+        match run_scale(name, nodes, days) {
+            Ok(sc) => scenarios.push(sc),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
         }
-        println!("bench: {name} — {n} nodes, {d} simulated day(s)…");
-        let sc = run_scale(name, n, d);
-        println!(
-            "bench: {name} {} jobs, {} events in {:.1}s wall \
-             ({:.0} events/sec, {:.0} sim-secs/sec, world {} MiB resident, peak RSS {} MiB)",
-            sc.jobs_completed,
-            sc.events,
-            sc.wall_secs,
-            sc.events_per_sec(),
-            if sc.wall_secs > 0.0 {
-                sc.sim_secs / sc.wall_secs
-            } else {
-                0.0
-            },
-            sc.world_resident_bytes >> 20,
-            sc.peak_rss_bytes >> 20,
-        );
-        if sc.jobs_completed < sc.jobs {
-            eprintln!(
-                "bench: {name} completed only {} of {} admitted jobs",
-                sc.jobs_completed, sc.jobs
-            );
-            return ExitCode::FAILURE;
-        }
-        scenarios.push(sc);
     }
-
-    let mut json =
-        String::from("{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-scale-out\",\n");
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
+    let bench = Bench {
+        calibration,
+        scenarios,
+        extra: vec![],
+    };
+    write_report(path, "chaos-sweep --bench-scale-out", &bench)
 }
 
 /// Benches the fault minimizer on the pinned seed-304 reference leak:
-/// the full-replay baseline vs the snapshot-forked shrink, interleaved.
-/// Each scenario's `events` counts *simulated* events (for the fork, only
-/// the suffixes after each restore point), which is the work the snapshot
-/// machinery exists to avoid — CI gates fork ≤ replay on that axis.
+/// the full-replay baseline vs the snapshot-forked shrink, timed
+/// together. Each scenario's `events` counts *simulated* events (for the
+/// fork, only the suffixes after each restore point), which is the work
+/// the snapshot machinery exists to avoid — CI gates fork ≤ replay on
+/// that axis.
 fn bench_minimize(path: &str) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
+    let calibration = Calibration::measure();
     // The legacy lease-free configuration whose seed-304 leak the repo
     // pins; both minimizers must shrink it to the same single partition.
     let legacy = ChaosConfig {
@@ -675,36 +720,36 @@ fn bench_minimize(path: &str) -> ExitCode {
         lease: None,
         ..ChaosConfig::default()
     };
-    let schedules_agree = std::cell::Cell::new(true);
-    let (replay, fork) = time_scenario_pair(
-        "minimize_replay_304",
-        "minimize_fork_304",
-        20,
-        || {
-            let (min, stats) = minimize_faults_replay_with_stats(&legacy);
+    let schedules_agree = Cell::new(true);
+    let shrink = |minimize: fn(&ChaosConfig) -> (Option<MinimizedSchedule>, MinimizeStats)| {
+        let (legacy, schedules_agree) = (&legacy, &schedules_agree);
+        move || {
+            let (min, stats) = minimize(legacy);
             schedules_agree.set(schedules_agree.get() & min.is_some_and(|m| m.faults.len() == 1));
             stats.simulated_events
-        },
-        || {
-            let (min, stats) = minimize_faults_with_stats(&legacy);
-            schedules_agree.set(schedules_agree.get() & min.is_some_and(|m| m.faults.len() == 1));
-            stats.simulated_events
-        },
+        }
+    };
+    let (replay, fork) = (
+        shrink(minimize_faults_replay_with_stats),
+        shrink(minimize_faults_with_stats),
     );
+    let timings = time_round_robin(20, &[&replay, &fork]);
     if !schedules_agree.get() {
         eprintln!("bench: minimizer did not reproduce the pinned 1-fault schedule");
         return ExitCode::FAILURE;
     }
-    let event_ratio = if replay.events > 0 {
-        fork.events as f64 / replay.events as f64
-    } else {
-        0.0
-    };
-    let wall_speedup = if fork.wall_secs > 0.0 {
-        replay.wall_secs / fork.wall_secs
-    } else {
-        0.0
-    };
+    let bench = minimize_bench(
+        calibration,
+        Scenario::repeated("minimize_replay_304", 20, timings[0]),
+        Scenario::repeated("minimize_fork_304", 20, timings[1]),
+    );
+    write_report(path, "chaos-sweep --bench-minimize-out", &bench)
+}
+
+/// Assembles the `--bench-minimize-out` report, printing its summary.
+fn minimize_bench(calibration: Calibration, replay: Scenario, fork: Scenario) -> Bench {
+    let event_ratio = ratio(fork.events as f64, replay.events as f64);
+    let wall_speedup = ratio(replay.wall_secs, fork.wall_secs);
     println!(
         "bench: minimize_replay_304 {} simulated events in {:.2}s",
         replay.events, replay.wall_secs
@@ -714,216 +759,14 @@ fn bench_minimize(path: &str) -> ExitCode {
          ({event_ratio:.3}x events, {wall_speedup:.2}x wall)",
         fork.events, fork.wall_secs
     );
-
-    let mut json = String::from(
-        "{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-minimize-out\",\n",
-    );
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    let scenarios = [&replay, &fork];
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"fork_event_ratio\": {event_ratio:.4},\n  \"fork_wall_speedup\": {wall_speedup:.3}\n}}\n"
-    ));
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
-}
-
-fn bench(path: &str, bench_seeds: u64, jobs: usize, baseline: Option<&str>) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
-    // World construction (DFS preload, per-node setup) is not the event
-    // loop the scenario measures; building the template once and cloning
-    // it per repetition keeps the per-run cost to the clone + the run.
-    let template = default_world();
-    let single_default = time_scenario("single_default", 1000, || {
-        template.clone().run().events_processed
-    });
-    println!(
-        "bench: single_default {:.0} events/sec",
-        single_default.events_per_sec()
-    );
-    let cfg304 = ChaosConfig {
-        seed: 304,
-        ..ChaosConfig::default()
-    };
-    let single_chaos = time_scenario("single_chaos_304", 500, || {
-        run_chaos(&cfg304).metrics.events_processed
-    });
-    println!(
-        "bench: single_chaos_304 {:.0} events/sec",
-        single_chaos.events_per_sec()
-    );
-    // The SWIM run — the workload the report's telemetry section actually
-    // observes — with and without the sim-time metrics registry,
-    // interleaved: CI gates the metrics overhead by comparing the two
-    // scenarios' `events_per_mb_hashed` within one report. (The chaos
-    // world above would be a poor denominator: at ~330 events per run its
-    // timing is dominated by per-run setup, not by per-event cost.)
-    let swim_cfg = ClusterConfig::default();
-    let swim_trace = SwimTrace::generate(&SwimConfig::default(), &mut SimRng::new(7));
-    let (single_swim, single_swim_metrics) = time_scenario_pair(
-        "single_swim",
-        "single_swim_metrics",
-        20,
-        || {
-            run_swim_recorded(&swim_cfg, FsMode::Ignem, &swim_trace, 1 << 22)
-                .0
-                .events_processed
-        },
-        || {
-            run_swim_observed(
-                &swim_cfg,
-                FsMode::Ignem,
-                &swim_trace,
-                1 << 22,
-                SimDuration::from_secs(10),
-            )
-            .0
-            .events_processed
-        },
-    );
-    println!(
-        "bench: single_swim {:.0} events/sec",
-        single_swim.events_per_sec()
-    );
-    println!(
-        "bench: single_swim_metrics {:.0} events/sec",
-        single_swim_metrics.events_per_sec()
-    );
-    // The scaling curve: jobs=1 (the inline serial loop `sweep` routes
-    // single-worker requests to), 2 and 4 pooled workers, and the
-    // requested `--jobs` count — all interleaved within each timing round.
-    let curve = time_sweep_curve(
-        bench_seeds,
-        &[
-            ("sweep_serial", 1),
-            ("sweep_jobs2", 2),
-            ("sweep_jobs4", 4),
-            ("sweep_parallel", jobs),
+    Bench {
+        calibration,
+        scenarios: vec![replay, fork],
+        extra: vec![
+            ("fork_event_ratio", format!("{event_ratio:.4}")),
+            ("fork_wall_speedup", format!("{wall_speedup:.3}")),
         ],
-    );
-    for sc in &curve {
-        println!(
-            "bench: {} {} seeds in {:.2}s ({} jobs)",
-            sc.name,
-            bench_seeds,
-            sc.wall_secs,
-            sc.jobs.unwrap_or(1)
-        );
     }
-    let (sweep_serial, sweep_parallel) = (&curve[0], &curve[curve.len() - 1]);
-    let parallel_speedup = if sweep_parallel.wall_secs > 0.0 {
-        sweep_serial.wall_secs / sweep_parallel.wall_secs
-    } else {
-        0.0
-    };
-
-    let mut json =
-        String::from("{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-out\",\n");
-    json.push_str(&format!(
-        "  \"jobs\": {jobs},\n  \"bench_seeds\": {bench_seeds},\n"
-    ));
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    let mut scenarios: Vec<&Scenario> = vec![
-        &single_default,
-        &single_chaos,
-        &single_swim,
-        &single_swim_metrics,
-    ];
-    scenarios.extend(curve.iter());
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sweep_parallel_speedup\": {parallel_speedup:.3}"
-    ));
-
-    if let Some(base_path) = baseline {
-        match std::fs::read_to_string(base_path) {
-            Ok(old) => {
-                let old = old.trim();
-                // Speedups vs the embedded baseline: wall-clock for the
-                // sweep (what CI budgets), events/sec for single runs
-                // (per-event dispatch cost). Raw ratios compare the two
-                // hosts as-is; `events_per_mb_hashed` ratios divide each
-                // side by its own calibration rate first, so they stay
-                // meaningful when the baseline was recorded on a faster
-                // (or merely less noisy) machine phase.
-                let sweep_speedup = scenario_number(old, "sweep_serial", "wall_secs")
-                    .map(|w| w / sweep_parallel.wall_secs.max(1e-9));
-                let single_speedup = scenario_number(old, "single_default", "events_per_sec")
-                    .map(|r| single_default.events_per_sec() / r.max(1e-9));
-                let chaos_speedup = scenario_number(old, "single_chaos_304", "events_per_sec")
-                    .map(|r| single_chaos.events_per_sec() / r.max(1e-9));
-                let norm = |name: &str, sc: &Scenario| {
-                    scenario_number(old, name, "events_per_mb_hashed")
-                        .map(|r| sc.events_per_sec() / calib_rate.max(1e-9) / r.max(1e-9))
-                };
-                let single_norm = norm("single_default", &single_default);
-                let chaos_norm = norm("single_chaos_304", &single_chaos);
-                json.push_str(",\n  \"vs_baseline\": {");
-                json.push_str(&format!(
-                    "\"sweep_wall_speedup\": {:.3}, \"single_default_events_per_sec_ratio\": {:.3}, \
-                     \"single_chaos_304_events_per_sec_ratio\": {:.3}, \
-                     \"single_default_events_per_mb_hashed_ratio\": {:.3}, \
-                     \"single_chaos_304_events_per_mb_hashed_ratio\": {:.3}}}",
-                    sweep_speedup.unwrap_or(0.0),
-                    single_speedup.unwrap_or(0.0),
-                    chaos_speedup.unwrap_or(0.0),
-                    single_norm.unwrap_or(0.0),
-                    chaos_norm.unwrap_or(0.0)
-                ));
-                json.push_str(",\n  \"baseline\": ");
-                json.push_str(old);
-                if let Some(s) = sweep_speedup {
-                    println!("bench: sweep wall-clock speedup vs baseline: {s:.2}x");
-                }
-                if let (Some(raw), Some(norm)) = (single_speedup, single_norm) {
-                    println!(
-                        "bench: single-run events/sec vs baseline: {raw:.2}x raw, \
-                         {norm:.2}x calibration-normalized"
-                    );
-                }
-                if let (Some(raw), Some(norm)) = (chaos_speedup, chaos_norm) {
-                    println!(
-                        "bench: single chaos run events/sec vs baseline: {raw:.2}x raw, \
-                         {norm:.2}x calibration-normalized"
-                    );
-                }
-            }
-            Err(e) => eprintln!("could not read baseline {base_path}: {e}"),
-        }
-    }
-    json.push_str("\n}\n");
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
 }
 
 fn parse(value: Option<String>, what: &str) -> u64 {
@@ -932,7 +775,132 @@ fn parse(value: Option<String>, what: &str) -> u64 {
         .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
 }
 
+fn path(value: Option<String>, what: &str) -> String {
+    value.unwrap_or_else(|| usage(&format!("{what} needs a path")))
+}
+
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The keys of every `"key": value` pair on one line of a report.
+    fn line_keys(line: &str) -> BTreeSet<&str> {
+        let parts: Vec<&str> = line.split('"').collect();
+        parts
+            .windows(2)
+            .filter(|w| w[1].starts_with(": "))
+            .map(|w| w[0])
+            .collect()
+    }
+
+    /// The shape of a report this binary wrote: each top-level field and
+    /// each scenario (by name) with the keys on its line. Stops at an
+    /// embedded baseline, whose lines share the top-level indentation.
+    fn shape(json: &str) -> BTreeMap<&str, BTreeSet<&str>> {
+        let mut out = BTreeMap::new();
+        for line in json.lines() {
+            if let Some(row) = line.strip_prefix("    {\"name\": \"") {
+                out.insert(&row[..row.find('"').unwrap()], line_keys(line));
+            } else if let Some(field) = line.strip_prefix("  \"") {
+                let key = &field[..field.find('"').unwrap()];
+                out.insert(key, line_keys(line));
+                if key == "baseline" {
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    fn calibration() -> Calibration {
+        Calibration {
+            bytes: 1 << 27,
+            wall_secs: 0.2,
+        }
+    }
+
+    const TIMING: (u64, f64) = (1000, 0.5);
+
+    #[test]
+    fn sweep_report_matches_committed_shape() {
+        let committed = include_str!("../../BENCH_sweep.json");
+        let mut scenarios: Vec<Scenario> = [
+            "single_default",
+            "single_chaos_304",
+            "single_swim",
+            "single_swim_metrics",
+        ]
+        .into_iter()
+        .map(|name| Scenario::repeated(name, 20, TIMING))
+        .collect();
+        for (name, jobs) in [
+            ("sweep_serial", 1),
+            ("sweep_jobs2", 2),
+            ("sweep_jobs4", 4),
+            ("sweep_parallel", 1),
+        ] {
+            scenarios.push(Scenario::sweep_curve(name, 256, jobs, TIMING));
+        }
+        let bench = sweep_bench(calibration(), 1, 256, scenarios, Some(committed));
+        let json = bench.to_json("chaos-sweep --bench-out");
+        assert_eq!(shape(&json), shape(committed));
+        assert!(json.ends_with(&format!("\"baseline\": {}\n}}\n", committed.trim())));
+    }
+
+    #[test]
+    fn minimize_report_matches_committed_shape() {
+        let bench = minimize_bench(
+            calibration(),
+            Scenario::repeated("minimize_replay_304", 20, TIMING),
+            Scenario::repeated("minimize_fork_304", 20, TIMING),
+        );
+        assert_eq!(
+            shape(&bench.to_json("chaos-sweep --bench-minimize-out")),
+            shape(include_str!("../../BENCH_minimize.json"))
+        );
+    }
+
+    #[test]
+    fn scale_report_matches_committed_shape() {
+        // Zero simulated days admit no jobs, so these worlds are quick to
+        // build and run; the report shape does not depend on the size.
+        let scenarios = ["scale_smoke", "scale_full"]
+            .map(|name| run_scale(name, 8, 0).unwrap())
+            .into();
+        let bench = Bench {
+            calibration: calibration(),
+            scenarios,
+            extra: vec![],
+        };
+        assert_eq!(
+            shape(&bench.to_json("chaos-sweep --bench-scale-out")),
+            shape(include_str!("../../BENCH_scale.json"))
+        );
+    }
+
+    #[test]
+    fn round_robin_timer_sums_each_body() {
+        let calls = Cell::new(Vec::new());
+        let body = |id: u64| {
+            let calls = &calls;
+            move || {
+                let mut seen = calls.take();
+                seen.push(id);
+                calls.set(seen);
+                id
+            }
+        };
+        let (a, b) = (body(1), body(2));
+        let totals = time_round_robin(3, &[&a, &b]);
+        assert_eq!(totals[0].0, 3);
+        assert_eq!(totals[1].0, 6);
+        // Each round starts one body further along.
+        assert_eq!(calls.take(), vec![1, 2, 2, 1, 1, 2]);
+    }
 }
