@@ -401,9 +401,9 @@ impl NodeColumns {
 /// The integrated simulator (see module docs).
 ///
 /// `Clone` copies the *deterministic* state structurally — engine queue
-/// (slot slab, generation stamps, insertion seq), every component, both
-/// RNG streams — while the observability handles ([`Telemetry`],
-/// [`MetricsRegistry`], [`HostProfiler`]) clone as shared references.
+/// (heap, insertion seq), every component, both RNG streams — while the
+/// observability handles ([`Telemetry`], [`MetricsRegistry`],
+/// [`HostProfiler`]) clone as shared references.
 /// [`World::snapshot`]/[`World::restore`] build on this: see
 /// [`WorldSnapshot`] for the exact capture contract.
 #[derive(Clone)]
@@ -505,12 +505,12 @@ pub struct World {
 /// by [`World::restore`].
 ///
 /// **Captured:** every bit of deterministic simulation state — the
-/// engine's event queue (slot slab, generation stamps, insertion
-/// sequence, clock, processed count), NameNode, master, slaves, MemStores,
-/// disks, fabric, RPC channel with its in-flight retransmissions, both
-/// RNG streams, the residency ledger, accumulated run metrics, fault
-/// suppression flags, and the telemetry/metrics *cursors* (emission seq,
-/// open metrics window and totals).
+/// engine's event queue (heap, insertion sequence, clock, processed
+/// count), NameNode, master, slaves, MemStores, disks, fabric, RPC
+/// channel with its in-flight retransmissions, both RNG streams, the
+/// residency ledger, accumulated run metrics, fault suppression flags,
+/// and the telemetry/metrics *cursors* (emission seq, open metrics window
+/// and totals).
 ///
 /// **Deliberately not captured:** the contents of any attached telemetry
 /// sink (recorded events are history, not state — a fork appends to

@@ -6,7 +6,7 @@
 //! Ignem itself).
 //!
 //! * [`time`] — integer-microsecond [`time::SimTime`] / [`time::SimDuration`].
-//! * [`event`] — the [`event::Engine`]: time-ordered queue with cancellation.
+//! * [`event`] — the [`event::Engine`]: clock plus `(time, insertion order)` event queue.
 //! * [`rng`] — version-stable seeded RNG ([`rng::SimRng`]).
 //! * [`dist`] — exponential / log-normal / Pareto samplers for workloads.
 //! * [`bitcol`] — packed bitsets ([`bitcol::BitCol`]) with popcount select:
@@ -63,7 +63,7 @@ pub mod units;
 pub mod prelude {
     pub use crate::bitcol::BitCol;
     pub use crate::dist::{Constant, Distribution, Exponential, LogNormal, Pareto, Uniform};
-    pub use crate::event::{Engine, EventId};
+    pub use crate::event::Engine;
     pub use crate::flow::{FlowId, FlowResource};
     pub use crate::idmap::{DenseId, IdMap, IdSet};
     pub use crate::rng::SimRng;
