@@ -37,6 +37,16 @@ impl std::fmt::Display for FileId {
     }
 }
 
+impl DenseId for FileId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    fn from_index(index: usize) -> Self {
+        FileId(index as u64)
+    }
+}
+
 /// A block's identity and size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use ignem_netsim::NodeId;
+use ignem_simcore::idmap::IdMap;
 use ignem_simcore::rng::SimRng;
 
 use crate::block::{split_into_blocks, BlockId, BlockInfo, FileId};
@@ -30,7 +31,6 @@ pub struct FileMeta {
 #[derive(Debug, Clone)]
 struct BlockMeta {
     bytes: u64,
-    file: FileId,
     /// All replica holders, dead or alive (liveness filtered on query).
     replicas: Vec<NodeId>,
 }
@@ -72,10 +72,16 @@ impl Default for DfsConfig {
 #[derive(Debug, Clone)]
 pub struct NameNode {
     config: DfsConfig,
-    files: BTreeMap<FileId, FileMeta>,
+    files: IdMap<FileId, FileMeta>,
     by_path: BTreeMap<String, FileId>,
-    blocks: BTreeMap<BlockId, BlockMeta>,
-    alive: BTreeMap<NodeId, bool>,
+    blocks: IdMap<BlockId, BlockMeta>,
+    /// Liveness of every registered datanode; unregistered nodes have no
+    /// entry.
+    alive: IdMap<NodeId, bool>,
+    /// The alive datanodes in ascending id order: the `true` entries of
+    /// `alive`, kept in step on every liveness change so that placing a
+    /// file costs one copy of it rather than a scan of every node.
+    alive_list: Vec<NodeId>,
     next_file: u64,
     next_block: u64,
 }
@@ -91,10 +97,11 @@ impl NameNode {
         assert!(config.replication > 0, "zero replication");
         NameNode {
             config,
-            files: BTreeMap::new(),
+            files: IdMap::new(),
             by_path: BTreeMap::new(),
-            blocks: BTreeMap::new(),
-            alive: BTreeMap::new(),
+            blocks: IdMap::new(),
+            alive: IdMap::new(),
+            alive_list: Vec::new(),
             next_file: 0,
             next_block: 0,
         }
@@ -107,7 +114,7 @@ impl NameNode {
 
     /// Registers a datanode (initially alive).
     pub fn register_node(&mut self, node: NodeId) {
-        self.alive.insert(node, true);
+        self.set_alive(node, true);
     }
 
     /// Marks a datanode dead: its replicas disappear from location queries.
@@ -116,13 +123,11 @@ impl NameNode {
     ///
     /// [`DfsError::UnknownNode`] if the node was never registered.
     pub fn mark_dead(&mut self, node: NodeId) -> Result<(), DfsError> {
-        match self.alive.get_mut(&node) {
-            Some(a) => {
-                *a = false;
-                Ok(())
-            }
-            None => Err(DfsError::UnknownNode(node)),
+        if !self.alive.contains_key(&node) {
+            return Err(DfsError::UnknownNode(node));
         }
+        self.set_alive(node, false);
+        Ok(())
     }
 
     /// Marks a datanode alive again (its replicas reappear).
@@ -131,12 +136,23 @@ impl NameNode {
     ///
     /// [`DfsError::UnknownNode`] if the node was never registered.
     pub fn mark_alive(&mut self, node: NodeId) -> Result<(), DfsError> {
-        match self.alive.get_mut(&node) {
-            Some(a) => {
-                *a = true;
-                Ok(())
+        if !self.alive.contains_key(&node) {
+            return Err(DfsError::UnknownNode(node));
+        }
+        self.set_alive(node, true);
+        Ok(())
+    }
+
+    /// Records `node`'s liveness and keeps the ascending alive list in
+    /// step: O(nodes) per liveness change, never per file.
+    fn set_alive(&mut self, node: NodeId, alive: bool) {
+        self.alive.insert(node, alive);
+        match (self.alive_list.binary_search(&node), alive) {
+            (Err(at), true) => self.alive_list.insert(at, node),
+            (Ok(at), false) => {
+                self.alive_list.remove(at);
             }
-            None => Err(DfsError::UnknownNode(node)),
+            _ => {}
         }
     }
 
@@ -145,13 +161,9 @@ impl NameNode {
         self.alive.get(&node).copied().unwrap_or(false)
     }
 
-    /// All currently alive datanodes.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.alive
-            .iter()
-            .filter(|(_, &a)| a)
-            .map(|(&n, _)| n)
-            .collect()
+    /// All currently alive datanodes, in ascending id order.
+    pub fn alive_nodes(&self) -> &[NodeId] {
+        &self.alive_list
     }
 
     /// Creates a file of `bytes`, splitting it into blocks and placing
@@ -171,10 +183,10 @@ impl NameNode {
         if self.by_path.contains_key(path) {
             return Err(DfsError::FileExists(path.to_string()));
         }
-        let mut candidates = self.alive_nodes();
-        if candidates.is_empty() {
+        if self.alive_list.is_empty() {
             return Err(DfsError::NoAliveNodes);
         }
+        let mut candidates = self.alive_list.clone();
         let id = FileId(self.next_file);
         self.next_file += 1;
         let mut block_ids = Vec::new();
@@ -191,7 +203,6 @@ impl NameNode {
                 bid,
                 BlockMeta {
                     bytes: size,
-                    file: id,
                     replicas,
                 },
             );
@@ -236,31 +247,27 @@ impl NameNode {
     ///
     /// [`DfsError::FileNotFound`] if the path does not exist.
     pub fn open(&self, path: &str) -> Result<&FileMeta, DfsError> {
-        let id = self
-            .by_path
+        self.by_path
             .get(path)
-            .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-        Ok(&self.files[id])
+            .and_then(|id| self.files.get(id))
+            .ok_or_else(|| DfsError::FileNotFound(path.to_string()))
     }
 
     /// The blocks of a file, in order, with sizes.
     ///
     /// # Errors
     ///
-    /// [`DfsError::FileNotFound`] if the path does not exist.
+    /// [`DfsError::FileNotFound`] if the path does not exist,
+    /// [`DfsError::BlockNotFound`] if one of its blocks is unknown.
     pub fn file_blocks(&self, path: &str) -> Result<Vec<BlockInfo>, DfsError> {
-        let meta = self.open(path)?;
-        Ok(meta
+        self.open(path)?
             .blocks
             .iter()
-            .map(|b| BlockInfo {
-                id: *b,
-                bytes: self.blocks[b].bytes,
-            })
-            .collect())
+            .map(|&b| self.block_info(b))
+            .collect()
     }
 
-    /// A block's size and owning file.
+    /// A block's id and size.
     ///
     /// # Errors
     ///
@@ -272,18 +279,6 @@ impl NameNode {
                 id: block,
                 bytes: m.bytes,
             })
-            .ok_or(DfsError::BlockNotFound(block))
-    }
-
-    /// The file a block belongs to.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::BlockNotFound`] if the block is unknown.
-    pub fn block_file(&self, block: BlockId) -> Result<FileId, DfsError> {
-        self.blocks
-            .get(&block)
-            .map(|m| m.file)
             .ok_or(DfsError::BlockNotFound(block))
     }
 
@@ -339,13 +334,11 @@ impl NameNode {
     /// Blocks whose **alive** replica count is below the replication factor
     /// but above zero (the NameNode's re-replication work list).
     pub fn under_replicated(&self) -> Vec<BlockId> {
+        let target = self.replication_target();
         self.blocks
             .iter()
-            .filter(|(_, m)| {
-                let alive = m.replicas.iter().filter(|n| self.is_alive(**n)).count();
-                alive > 0 && alive < self.config.replication.min(self.alive_nodes().len())
-            })
-            .map(|(&b, _)| b)
+            .filter(|(_, m)| self.is_short(m, target))
+            .map(|(b, _)| b)
             .collect()
     }
 
@@ -354,11 +347,21 @@ impl NameNode {
     /// [`under_replicated`](Self::under_replicated), used to skip queued
     /// re-replication work that a node's return already made redundant.
     pub fn is_under_replicated(&self, block: BlockId) -> bool {
-        let Some(meta) = self.blocks.get(&block) else {
-            return false;
-        };
+        self.blocks
+            .get(&block)
+            .is_some_and(|m| self.is_short(m, self.replication_target()))
+    }
+
+    /// The alive replica count a block should reach: the replication
+    /// factor, or every alive node when the cluster is smaller.
+    fn replication_target(&self) -> usize {
+        self.config.replication.min(self.alive_list.len())
+    }
+
+    /// Whether a block has some but fewer than `target` alive replicas.
+    fn is_short(&self, meta: &BlockMeta, target: usize) -> bool {
         let alive = meta.replicas.iter().filter(|n| self.is_alive(**n)).count();
-        alive > 0 && alive < self.config.replication.min(self.alive_nodes().len())
+        alive > 0 && alive < target
     }
 
     /// Blocks with **no** alive replica at all: every copy sits on a dead
@@ -368,7 +371,7 @@ impl NameNode {
         self.blocks
             .iter()
             .filter(|(_, m)| !m.replicas.iter().any(|n| self.is_alive(*n)))
-            .map(|(&b, _)| b)
+            .map(|(b, _)| b)
             .collect()
     }
 
@@ -378,7 +381,7 @@ impl NameNode {
         self.blocks
             .iter()
             .filter(|(_, m)| m.replicas.contains(&node))
-            .map(|(&id, m)| BlockInfo { id, bytes: m.bytes })
+            .map(|(id, m)| BlockInfo { id, bytes: m.bytes })
             .collect()
     }
 

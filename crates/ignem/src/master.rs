@@ -346,31 +346,32 @@ impl IgnemMaster {
         }
         let job_input_bytes: u64 = blocks.iter().map(|b| b.bytes).sum();
 
-        let mut batches: IdMap<NodeId, SlaveBatch> = IdMap::new();
+        // The targets are a few nodes out of possibly thousands, so the
+        // commands are grouped by a stable sort rather than in a
+        // node-indexed map (whose window would span the whole cluster).
+        let mut assigned: Vec<(NodeId, MigrateCommand)> = Vec::new();
         for info in blocks {
             if info.bytes == 0 {
                 continue;
             }
-            let locations = namenode.locations(info.id)?;
-            if locations.is_empty() {
+            let mut candidates = namenode.locations(info.id)?;
+            if candidates.is_empty() {
                 continue;
             }
-            let mut candidates = locations.clone();
             rng.shuffle(&mut candidates);
             let k = self.config.replicas_to_migrate.max(1).min(candidates.len());
-            let epoch = self.epoch;
             for &target in &candidates[..k] {
-                batches
-                    .entry_or_insert_with(target, || SlaveBatch::new(target, epoch))
-                    .migrates
-                    .push(MigrateCommand {
+                assigned.push((
+                    target,
+                    MigrateCommand {
                         job: req.job,
                         block: info.id,
                         bytes: info.bytes,
                         mode: req.mode,
                         job_input_bytes,
                         submitted: req.submitted,
-                    });
+                    },
+                ));
                 self.stats.blocks_assigned += 1;
                 self.metrics
                     .counter_add("migrations_assigned", target.0 as u64, 1);
@@ -383,13 +384,27 @@ impl IgnemMaster {
             }
         }
 
-        let record = self.jobs.entry_or_default(req.job);
-        for slave in batches.keys() {
-            if !record.slaves.contains(&slave) {
-                record.slaves.push(slave);
+        // Ascending by slave; each slave's commands stay in block order.
+        assigned.sort_by_key(|&(target, _)| target);
+        let mut batches: Vec<SlaveBatch> = Vec::new();
+        for (target, command) in assigned {
+            match batches.last_mut() {
+                Some(batch) if batch.to == target => batch.migrates.push(command),
+                _ => {
+                    let mut batch = SlaveBatch::new(target, self.epoch);
+                    batch.migrates.push(command);
+                    batches.push(batch);
+                }
             }
         }
-        Ok(batches.into_values().collect())
+
+        let record = self.jobs.entry_or_default(req.job);
+        for batch in &batches {
+            if !record.slaves.contains(&batch.to) {
+                record.slaves.push(batch.to);
+            }
+        }
+        Ok(batches)
     }
 
     /// Handles a job-completion evict request, returning evict batches for
@@ -518,6 +533,7 @@ impl IgnemMaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignem_dfs::block::BlockId;
     use ignem_dfs::namenode::DfsConfig;
     use ignem_simcore::time::SimTime;
     use ignem_simcore::units::MIB;
@@ -790,5 +806,47 @@ mod tests {
             .unwrap();
         assert_eq!(m.tracked_jobs(), 1);
         assert!(!m.handle_evict(JobId(1)).is_empty());
+    }
+
+    /// Batches come back in ascending slave order however far apart the
+    /// replica holders are, each slave's commands in block order, and the
+    /// job's evict reaches the same slaves in the same order. The
+    /// expectation groups the same RNG draws in a map ordered by node.
+    #[test]
+    fn sparse_targets_batch_in_ascending_node_order() {
+        let (mut nn, mut rng) = setup(2_048);
+        nn.create_file("/wide", 24 * 64 * MIB, &mut rng).unwrap();
+        let mut m = IgnemMaster::with_config(MasterConfig {
+            replicas_to_migrate: 2,
+            ..MasterConfig::default()
+        });
+        let mut expect_rng = rng.clone();
+        let mut expected: std::collections::BTreeMap<NodeId, Vec<BlockId>> = Default::default();
+        for info in nn.file_blocks("/wide").unwrap() {
+            let mut holders = nn.locations(info.id).unwrap();
+            expect_rng.shuffle(&mut holders);
+            for &n in &holders[..2] {
+                expected.entry(n).or_default().push(info.id);
+            }
+        }
+
+        let batches = m
+            .handle_migrate(&request(1, vec!["/wide"]), &nn, &mut rng)
+            .unwrap();
+        assert_eq!(rng, expect_rng);
+        let got: Vec<(NodeId, Vec<BlockId>)> = batches
+            .iter()
+            .map(|b| (b.to, b.migrates.iter().map(|c| c.block).collect()))
+            .collect();
+        assert_eq!(got, expected.into_iter().collect::<Vec<_>>());
+        let (first, last) = (batches[0].to, batches[batches.len() - 1].to);
+        assert!(
+            last.0 - first.0 > 1_024,
+            "targets {first}..{last} do not span the cluster"
+        );
+
+        let slaves: Vec<NodeId> = batches.iter().map(|b| b.to).collect();
+        let evicts: Vec<NodeId> = m.handle_evict(JobId(1)).iter().map(|b| b.to).collect();
+        assert_eq!(evicts, slaves);
     }
 }
